@@ -55,6 +55,14 @@ CASES = {
     # too (body == stdout by construction).
     "stream_irene": ["stream", "--network", "Level3", "--storm", "IRENE",
                      "--step", "4"] + COMMON,
+    # Per-advisory Eq 5 ratios: one frozen engine re-planed with each
+    # advisory's forecast risks.
+    "storm_digex_irene": ["storm", "--network", "Digex", "--storm",
+                          "IRENE"] + COMMON,
+    # SLA pick through MultiObjectiveRouter's Pareto front.
+    "route_level3_sla": ["route", "--network", "Level3",
+                         "--from", "Houston, TX", "--to", "Boston, MA",
+                         "--latency-budget", "18"] + COMMON,
 }
 
 # Alias name -> (base case, extra CLI arguments). An alias replays its
