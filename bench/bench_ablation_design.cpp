@@ -12,27 +12,30 @@
 
 #include "bench/common.h"
 #include "core/interdomain.h"
-#include "core/riskroute.h"
 #include "core/study.h"
 
 namespace {
 
 using namespace riskroute;
 
+/// One network's intradomain ratios at lambda_h = 1e5 (the Table 2 sweep).
+core::RatioReport Table2Ratios(const core::Study& study, const char* name) {
+  return bench::IntradomainRatios(
+      core::RouteEngine(study.BuildGraphFor(name), core::RiskParams{1e5, 1e3}),
+      &bench::SharedPool());
+}
+
 void AblateCalibration() {
   std::cout << "\nA. Calibration target vs Deutsche/Level3 ratios "
                "(lambda_h = 1e5):\n";
   util::Table table({"Mean PoP risk target", "Level3 RR", "Level3 DIR",
                      "Deutsche RR", "Deutsche DIR"});
-  util::ThreadPool& pool = bench::SharedPool();
   for (const double target : {0.05, 0.15, 0.45}) {
     core::StudyOptions options;
     options.calibration_target = target;
     const core::Study study = core::Study::Build(options);
-    const core::RatioReport level3 = core::ComputeIntradomainRatios(
-        study.BuildGraphFor("Level3"), core::RiskParams{1e5, 1e3}, &pool);
-    const core::RatioReport dt = core::ComputeIntradomainRatios(
-        study.BuildGraphFor("Deutsche"), core::RiskParams{1e5, 1e3}, &pool);
+    const core::RatioReport level3 = Table2Ratios(study, "Level3");
+    const core::RatioReport dt = Table2Ratios(study, "Deutsche");
     table.Add(target, level3.risk_reduction_ratio,
               level3.distance_increase_ratio, dt.risk_reduction_ratio,
               dt.distance_increase_ratio);
@@ -44,24 +47,17 @@ void AblateCorpusSeed() {
   std::cout << "\nB. Corpus seed vs Table 2 shape (lambda_h = 1e5):\n";
   util::Table table({"Seed", "Level3 RR", "Mean other tier-1 RR",
                      "Level3 is smallest?"});
-  util::ThreadPool& pool = bench::SharedPool();
   for (const std::uint64_t seed : {123ULL, 7ULL, 99ULL}) {
     core::StudyOptions options;
     options.corpus_seed = seed;
     const core::Study study = core::Study::Build(options);
-    const double level3 =
-        core::ComputeIntradomainRatios(study.BuildGraphFor("Level3"),
-                                       core::RiskParams{1e5, 1e3}, &pool)
-            .risk_reduction_ratio;
+    const double level3 = Table2Ratios(study, "Level3").risk_reduction_ratio;
     double sum = 0.0;
     double min_other = 1.0;
     const char* others[] = {"ATT", "Deutsche", "NTT", "Sprint", "Tinet",
                             "Teliasonera"};
     for (const char* name : others) {
-      const double rr =
-          core::ComputeIntradomainRatios(study.BuildGraphFor(name),
-                                         core::RiskParams{1e5, 1e3}, &pool)
-              .risk_reduction_ratio;
+      const double rr = Table2Ratios(study, name).risk_reduction_ratio;
       sum += rr;
       min_other = std::min(min_other, rr);
     }
@@ -83,8 +79,8 @@ void AblateColocationRadius() {
     options.colocation_radius_miles = radius;
     const core::MergedGraph merged = study.BuildMerged(options);
     const core::RatioReport report = core::InterdomainRatios(
-        merged, study.corpus(), study.NetworkIndex("Digex"),
-        core::RiskParams{1e5, 1e3}, &pool);
+        core::RouteEngine(merged.graph, core::RiskParams{1e5, 1e3}), merged,
+        study.corpus(), study.NetworkIndex("Digex"), &pool);
     table.Add(radius, merged.peering_edges.size(),
               report.risk_reduction_ratio, report.distance_increase_ratio,
               report.pair_count);

@@ -1,23 +1,25 @@
 // Monte Carlo ensemble evaluation: sim::EnsembleEngine's batched overlay
-// sweeps vs the pre-engine outage-evaluation path, preserved in the style
-// of bench_perf_core's legacy pairs: adjacency-list iteration, a freshly
-// allocated std::priority_queue per pair, per-edge Eq 1 recomputation
-// through graph.node() lookups, and hash-set failure checks inside the
-// relaxation loop (what scoring a failure set meant before EdgeOverlay).
+// sweeps vs the pre-engine outage-evaluation path, run on the shared
+// reference oracle like bench_perf_core's legacy pairs: adjacency-list
+// iteration, a freshly allocated std::priority_queue per pair, per-edge
+// Eq 1 recomputation through graph.node() lookups, and hash-set failure
+// checks inside the relaxation loop (what scoring a failure set meant
+// before EdgeOverlay; a failed node or severed span weighs +infinity, so
+// it is never relaxed).
 // Both sides score the identical pre-drawn scenario set against the same
 // baseline, so the wall-clock ratio is the speedup bench_compare.py
 // records for the "ensemble" pair (floor 3x).
 #include <cstdio>
 #include <limits>
-#include <optional>
-#include <queue>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
 #include "hazard/synthesis.h"
 #include "sim/ensemble.h"
 #include "sim/triage.h"
+#include "tests/oracle/reference_routing.h"
 
 namespace {
 
@@ -80,76 +82,14 @@ const EnsembleBenchFixture& SharedEnsembleFixture() {
 // ---------------------------------------------------------------------------
 // Pre-engine scenario scoring.
 
-class LegacyOutageDijkstra {
- public:
-  template <typename WeightFn>
-  void Run(const core::RiskGraph& graph, std::size_t source,
-           const std::vector<bool>& dead,
-           const std::unordered_set<std::uint64_t>& severed, WeightFn&& weight,
-           std::size_t target) {
-    const std::size_t n = graph.node_count();
-    dist_.assign(n, std::numeric_limits<double>::infinity());
-    settled_.assign(n, false);
-    dist_[source] = 0.0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    queue.push(Entry{0.0, source});
-    while (!queue.empty()) {
-      const Entry top = queue.top();
-      queue.pop();
-      if (settled_[top.node]) continue;
-      settled_[top.node] = true;
-      if (top.node == target) return;
-      for (const core::RiskEdge& edge : graph.OutEdges(top.node)) {
-        if (settled_[edge.to] || dead[edge.to]) continue;
-        if (severed.count(EdgeKey(top.node, edge.to)) != 0) continue;
-        const double candidate = dist_[top.node] + weight(top.node, edge);
-        if (candidate < dist_[edge.to]) {
-          dist_[edge.to] = candidate;
-          queue.push(Entry{candidate, edge.to});
-        }
-      }
-    }
-  }
-
-  [[nodiscard]] double DistanceTo(std::size_t node) const {
-    return dist_[node];
-  }
-  [[nodiscard]] bool Reached(std::size_t node) const {
-    return dist_[node] < std::numeric_limits<double>::infinity();
-  }
-
-  static std::uint64_t EdgeKey(std::size_t u, std::size_t v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<std::uint64_t>(u) << 32) | v;
-  }
-
- private:
-  struct Entry {
-    double dist;
-    std::size_t node;
-    bool operator>(const Entry& other) const { return dist > other.dist; }
-  };
-
-  std::vector<double> dist_;
-  std::vector<bool> settled_;
-};
-
-struct LegacyEnsembleWeight {
-  const core::RiskGraph* graph;
-  double alpha;
-
-  double operator()(std::size_t, const core::RiskEdge& edge) const {
-    const core::RiskNode& to = graph->node(edge.to);
-    return edge.miles +
-           alpha * (kEnsembleBenchParams.lambda_historical *
-                        to.historical_risk +
-                    kEnsembleBenchParams.lambda_forecast * to.forecast_risk);
-  }
-};
+std::uint64_t EdgeKey(std::size_t u, std::size_t v) {
+  if (u > v) std::swap(u, v);
+  return (static_cast<std::uint64_t>(u) << 32) | v;
+}
 
 double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
                            const sim::Scenario& scenario,
-                           LegacyOutageDijkstra& workspace) {
+                           oracle::Dijkstra& workspace) {
   const core::RiskGraph& graph = fixture.graph;
   const std::size_t n = graph.node_count();
   std::vector<bool> dead(n, false);
@@ -157,7 +97,7 @@ double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
   std::unordered_set<std::uint64_t> severed;
   for (const std::uint32_t id : scenario.severed_edges) {
     const auto& edge = fixture.ensemble.edge(id);
-    severed.insert(LegacyOutageDijkstra::EdgeKey(edge.a, edge.b));
+    severed.insert(EdgeKey(edge.a, edge.b));
   }
   double delta = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -165,10 +105,15 @@ double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
       const double base = fixture.baseline[i * (2 * n - i - 1) / 2 + (j - i - 1)];
       if (base == std::numeric_limits<double>::infinity()) continue;
       if (dead[i] || dead[j]) continue;
-      const double alpha =
-          graph.node(i).impact_fraction + graph.node(j).impact_fraction;
-      workspace.Run(graph, i, dead, severed,
-                    LegacyEnsembleWeight{&graph, alpha}, j);
+      const oracle::BitRiskWeight eq1{&graph, kEnsembleBenchParams,
+                                      oracle::Alpha(graph, i, j)};
+      const auto weight = [&](std::size_t from, const core::RiskEdge& edge) {
+        if (dead[edge.to] || severed.count(EdgeKey(from, edge.to)) != 0) {
+          return std::numeric_limits<double>::infinity();
+        }
+        return eq1(from, edge);
+      };
+      workspace.Run(graph, i, weight, j);
       if (workspace.Reached(j)) delta += workspace.DistanceTo(j) - base;
     }
   }
@@ -231,7 +176,7 @@ void Reproduce() {
               "%zu baseline pairs\n",
               fixture.scenarios.size(), fixture.ensemble.baseline_pairs());
   // The pair is only meaningful if both sides score scenarios identically.
-  LegacyOutageDijkstra workspace;
+  oracle::Dijkstra workspace;
   for (const sim::Scenario& scenario : fixture.scenarios) {
     const double legacy = LegacyScenarioDelta(fixture, scenario, workspace);
     const double batched = BatchedScenarioDelta(fixture, scenario);
@@ -256,7 +201,7 @@ void Reproduce() {
 
 void BM_EnsembleLegacy(benchmark::State& state) {
   const EnsembleBenchFixture& fixture = SharedEnsembleFixture();
-  LegacyOutageDijkstra workspace;
+  oracle::Dijkstra workspace;
   for (auto _ : state) {
     double sink = 0.0;
     for (const sim::Scenario& scenario : fixture.scenarios) {

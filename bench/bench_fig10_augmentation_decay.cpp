@@ -60,12 +60,12 @@ void Reproduce() {
 
 void BM_GreedySingleStepNTT(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("NTT");
+  static const core::RouteEngine engine(study.BuildGraphFor("NTT"),
+                                        core::RiskParams{1e5, 1e3});
   provision::AugmentationOptions options;
   options.links_to_add = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        provision::GreedyAugment(graph, core::RiskParams{1e5, 1e3}, options));
+    benchmark::DoNotOptimize(provision::GreedyAugment(engine, options));
   }
 }
 BENCHMARK(BM_GreedySingleStepNTT)->Unit(benchmark::kMillisecond);

@@ -19,17 +19,16 @@ using namespace riskroute;
 void Reproduce() {
   const core::Study& study = bench::SharedStudy();
   util::ThreadPool& pool = bench::SharedPool();
-  core::MergedGraph merged = study.BuildMerged();
-  const core::RiskParams params{1e5, 1e3};
+  const core::MergedGraph merged = study.BuildMerged();
+  const core::RouteEngine engine(merged.graph, core::RiskParams{1e5, 1e3});
 
   util::Table table({"Regional Network", "Best New Peer", "Coloc. PoPs",
                      "Objective Reduction"});
   std::map<std::string, int> winners;
   for (const std::size_t n :
        study.corpus().NetworksOfKind(topology::NetworkKind::kRegional)) {
-    const auto recommendation =
-        provision::RecommendPeering(merged, study.corpus(), n, params, 25.0,
-                                    &pool);
+    const auto recommendation = provision::RecommendPeering(
+        engine, merged, study.corpus(), n, 25.0, &pool);
     if (recommendation.best() == nullptr) {
       table.Add(study.corpus().network(n).name(), "(no candidate)", 0, 0.0);
       continue;

@@ -12,7 +12,6 @@
 
 #include "bench/common.h"
 #include "util/strings.h"
-#include "core/riskroute.h"
 #include "forecast/forecast_risk.h"
 #include "forecast/tracks.h"
 
@@ -29,7 +28,6 @@ constexpr std::size_t kAdvisoryStride = 5;
 void RunStorm(const forecast::StormTrack& track) {
   const core::Study& study = bench::SharedStudy();
   util::ThreadPool& pool = bench::SharedPool();
-  const core::RiskParams params{1e5, 1e3};
   const auto advisories = forecast::GenerateAdvisories(track);
 
   std::cout << "\n--- " << track.name << " (" << advisories.size()
@@ -38,23 +36,22 @@ void RunStorm(const forecast::StormTrack& track) {
   for (const char* name : kTier1Names) headers.emplace_back(name);
   util::Table table(headers);
 
-  // Build the graphs once; set forecast risk per tick.
-  std::vector<core::RiskGraph> graphs;
+  // Freeze the engines once; set forecast risk per tick.
+  std::vector<core::RouteEngine> engines;
   for (const char* name : kTier1Names) {
-    graphs.push_back(study.BuildGraphFor(name));
+    engines.emplace_back(study.BuildGraphFor(name), core::RiskParams{1e5, 1e3});
   }
 
   for (std::size_t a = 0; a < advisories.size(); a += kAdvisoryStride) {
     const forecast::ForecastRiskField field(advisories[a]);
     std::vector<std::string> row = {advisories[a].time.ToString()};
-    for (core::RiskGraph& graph : graphs) {
-      std::vector<double> risks(graph.node_count());
-      for (std::size_t i = 0; i < graph.node_count(); ++i) {
-        risks[i] = field.RiskAt(graph.node(i).location);
+    for (core::RouteEngine& engine : engines) {
+      std::vector<double> risks(engine.node_count());
+      for (std::size_t i = 0; i < engine.node_count(); ++i) {
+        risks[i] = field.RiskAt(engine.location(i));
       }
-      graph.SetForecastRisks(risks);
-      const core::RatioReport report =
-          core::ComputeIntradomainRatios(graph, params, &pool);
+      engine.SetForecastRisks(risks);
+      const core::RatioReport report = bench::IntradomainRatios(engine, &pool);
       row.push_back(util::Format("%.3f", report.risk_reduction_ratio));
     }
     table.AddRow(std::move(row));
@@ -73,17 +70,17 @@ void Reproduce() {
 
 void BM_AdvisoryTickRatio(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static core::RiskGraph graph = study.BuildGraphFor("Deutsche");
+  static core::RouteEngine engine(study.BuildGraphFor("Deutsche"),
+                                  core::RiskParams{1e5, 1e3});
   const auto advisories = forecast::GenerateAdvisories(forecast::SandyTrack());
   const forecast::ForecastRiskField field(advisories[advisories.size() / 2]);
-  std::vector<double> risks(graph.node_count());
-  for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    risks[i] = field.RiskAt(graph.node(i).location);
+  std::vector<double> risks(engine.node_count());
+  for (std::size_t i = 0; i < engine.node_count(); ++i) {
+    risks[i] = field.RiskAt(engine.location(i));
   }
-  graph.SetForecastRisks(risks);
+  engine.SetForecastRisks(risks);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ComputeIntradomainRatios(
-        graph, core::RiskParams{1e5, 1e3}, nullptr));
+    benchmark::DoNotOptimize(bench::IntradomainRatios(engine, nullptr));
   }
 }
 BENCHMARK(BM_AdvisoryTickRatio)->Unit(benchmark::kMillisecond);

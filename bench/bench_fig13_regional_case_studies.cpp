@@ -13,7 +13,6 @@
 #include "bench/common.h"
 #include "util/strings.h"
 #include "core/interdomain.h"
-#include "core/riskroute.h"
 #include "forecast/forecast_risk.h"
 #include "forecast/tracks.h"
 
@@ -27,7 +26,6 @@ constexpr double kScopeThreshold = 0.20;  // paper: >20% of PoPs in scope
 void RunStorm(const forecast::StormTrack& track) {
   const core::Study& study = bench::SharedStudy();
   util::ThreadPool& pool = bench::SharedPool();
-  const core::RiskParams params{1e5, 1e3};
   const auto advisories = forecast::GenerateAdvisories(track);
   const forecast::StormScope scope(advisories);
 
@@ -55,18 +53,20 @@ void RunStorm(const forecast::StormTrack& track) {
   }
   util::Table table(headers);
 
-  core::MergedGraph merged = study.BuildMerged();
+  // Frozen once per storm; each advisory only re-planes forecast risks.
+  const core::MergedGraph merged = study.BuildMerged();
+  core::RouteEngine engine(merged.graph, core::RiskParams{1e5, 1e3});
   for (std::size_t a = 0; a < advisories.size(); a += kAdvisoryStride) {
     const forecast::ForecastRiskField field(advisories[a]);
-    std::vector<double> risks(merged.graph.node_count());
-    for (std::size_t i = 0; i < merged.graph.node_count(); ++i) {
-      risks[i] = field.RiskAt(merged.graph.node(i).location);
+    std::vector<double> risks(engine.node_count());
+    for (std::size_t i = 0; i < engine.node_count(); ++i) {
+      risks[i] = field.RiskAt(engine.location(i));
     }
-    merged.graph.SetForecastRisks(risks);
+    engine.SetForecastRisks(risks);
     std::vector<std::string> row = {advisories[a].time.ToString()};
     for (const std::size_t n : included) {
       const core::RatioReport report =
-          core::InterdomainRatios(merged, study.corpus(), n, params, &pool);
+          core::InterdomainRatios(engine, merged, study.corpus(), n, &pool);
       row.push_back(util::Format("%.3f", report.risk_reduction_ratio));
     }
     table.AddRow(std::move(row));
@@ -85,15 +85,16 @@ void Reproduce() {
 
 void BM_MergedForecastUpdate(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static core::MergedGraph merged = study.BuildMerged();
+  static core::RouteEngine engine(study.BuildMerged().graph,
+                                  core::RiskParams{1e5, 1e3});
   const auto advisories = forecast::GenerateAdvisories(forecast::IreneTrack());
   const forecast::ForecastRiskField field(advisories[advisories.size() / 2]);
-  std::vector<double> risks(merged.graph.node_count());
+  std::vector<double> risks(engine.node_count());
   for (auto _ : state) {
-    for (std::size_t i = 0; i < merged.graph.node_count(); ++i) {
-      risks[i] = field.RiskAt(merged.graph.node(i).location);
+    for (std::size_t i = 0; i < engine.node_count(); ++i) {
+      risks[i] = field.RiskAt(engine.location(i));
     }
-    merged.graph.SetForecastRisks(risks);
+    engine.SetForecastRisks(risks);
     benchmark::ClobberMemory();
   }
 }

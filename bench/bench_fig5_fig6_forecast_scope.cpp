@@ -32,7 +32,7 @@ void Reproduce() {
        {irene_texts.size() / 3, 2 * irene_texts.size() / 3,
         irene_texts.size() - 1}) {
     const forecast::Advisory advisory =
-        forecast::ParseAdvisory(irene_texts[index]);
+        forecast::ParseAdvisoryResult(irene_texts[index]).ValueOrThrow();
     snapshots.Add(advisory.number, advisory.time.ToString(),
                   advisory.center.ToString(),
                   advisory.hurricane_wind_radius_miles,
@@ -67,15 +67,16 @@ void Reproduce() {
   scope_table.Render(std::cout);
 }
 
-void BM_ParseAdvisory(benchmark::State& state) {
+void BM_ParseAdvisoryResult(benchmark::State& state) {
   const auto texts = forecast::GenerateAdvisoryTexts(forecast::SandyTrack());
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forecast::ParseAdvisory(texts[i % texts.size()]));
+    benchmark::DoNotOptimize(
+        forecast::ParseAdvisoryResult(texts[i % texts.size()]));
     ++i;
   }
 }
-BENCHMARK(BM_ParseAdvisory);
+BENCHMARK(BM_ParseAdvisoryResult);
 
 void BM_StormScopeQuery(benchmark::State& state) {
   const forecast::StormScope scope(

@@ -9,21 +9,20 @@
 
 #include "bench/common.h"
 #include "util/strings.h"
-#include "core/riskroute.h"
 
 namespace {
 
 using namespace riskroute;
 
 void PrintRoute(const core::RiskGraph& graph, const char* label,
-                const core::RouteResult& route) {
+                const core::RouteEngine& engine, const core::Path& path) {
+  const core::PathMetrics metrics = engine.Measure(path);
   std::cout << label << util::Format(" (%zu hops, %.0f mi, %.0f bit-risk mi):\n",
-                                     route.path.size() - 1, route.miles,
-                                     route.bit_risk_miles);
-  for (std::size_t i = 0; i < route.path.size(); ++i) {
-    std::cout << "    " << graph.node(route.path[i]).name
-              << util::Format("  [o_h=%.4f]\n",
-                              graph.node(route.path[i]).historical_risk);
+                                     path.size() - 1, metrics.miles,
+                                     metrics.bit_risk_miles);
+  for (const std::size_t v : path) {
+    std::cout << "    " << graph.node(v).name
+              << util::Format("  [o_h=%.4f]\n", graph.node(v).historical_risk);
   }
 }
 
@@ -37,16 +36,16 @@ void Reproduce() {
     if (graph.node(i).name == "Boston, MA") boston = i;
   }
 
-  const core::RiskRouter base(graph, core::RiskParams{0, 0});
-  const auto shortest = base.ShortestRoute(houston, boston);
-  PrintRoute(graph, "\nShortest path", *shortest);
+  const core::RouteEngine base(graph, core::RiskParams{0, 0});
+  PrintRoute(graph, "\nShortest path", base,
+             *base.FindPath(houston, boston, 0.0));
 
   for (const double lambda : {1e4, 1e5}) {
-    const core::RiskRouter router(graph, core::RiskParams{lambda, 1e3});
-    const auto route = router.MinRiskRoute(houston, boston);
+    const core::RouteEngine engine(graph, core::RiskParams{lambda, 1e3});
+    const double alpha = engine.Alpha(houston, boston);
     PrintRoute(graph,
                util::Format("\nRiskRoute (lambda_h = %.0e)", lambda).c_str(),
-               *route);
+               engine, *engine.FindPath(houston, boston, alpha));
   }
   std::cout << "(paper Fig 7: the dotted RiskRoute path deviates from the "
                "shortest path, more strongly at lambda_h = 1e5 than 1e4)\n";
@@ -54,15 +53,16 @@ void Reproduce() {
 
 void BM_HoustonBostonRiskRoute(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Level3");
+  static const core::RouteEngine engine(study.BuildGraphFor("Level3"),
+                                        core::RiskParams{1e5, 1e3});
   std::size_t houston = 0, boston = 0;
-  for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    if (graph.node(i).name == "Houston, TX") houston = i;
-    if (graph.node(i).name == "Boston, MA") boston = i;
+  for (std::size_t i = 0; i < engine.node_count(); ++i) {
+    if (engine.node_name(i) == "Houston, TX") houston = i;
+    if (engine.node_name(i) == "Boston, MA") boston = i;
   }
-  const core::RiskRouter router(graph, core::RiskParams{1e5, 1e3});
+  const double alpha = engine.Alpha(houston, boston);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.MinRiskRoute(houston, boston));
+    benchmark::DoNotOptimize(engine.FindPath(houston, boston, alpha));
   }
 }
 BENCHMARK(BM_HoustonBostonRiskRoute)->Unit(benchmark::kMicrosecond);

@@ -11,7 +11,6 @@
 
 #include "bench/common.h"
 #include "core/interdomain.h"
-#include "core/riskroute.h"
 
 namespace {
 
@@ -21,14 +20,14 @@ void Reproduce() {
   const core::Study& study = bench::SharedStudy();
   util::ThreadPool& pool = bench::SharedPool();
   const core::MergedGraph merged = study.BuildMerged();
-  const core::RiskParams params{1e5, 1e3};
+  const core::RouteEngine engine(merged.graph, core::RiskParams{1e5, 1e3});
 
   util::Table table({"Network", "Distance Ratio", "Risk Ratio", "Pairs",
                      "Risk/Distance"});
   for (const std::size_t n :
        study.corpus().NetworksOfKind(topology::NetworkKind::kRegional)) {
     const core::RatioReport report =
-        core::InterdomainRatios(merged, study.corpus(), n, params, &pool);
+        core::InterdomainRatios(engine, merged, study.corpus(), n, &pool);
     const double advantage =
         report.distance_increase_ratio > 1e-9
             ? report.risk_reduction_ratio / report.distance_increase_ratio
@@ -46,11 +45,13 @@ void Reproduce() {
 void BM_InterdomainPairQuery(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
   static const core::MergedGraph merged = study.BuildMerged();
-  const core::RiskRouter router(merged.graph, core::RiskParams{1e5, 1e3});
+  static const core::RouteEngine engine(merged.graph,
+                                        core::RiskParams{1e5, 1e3});
   const std::size_t a = merged.GlobalId(study.NetworkIndex("Digex"), 0);
   const std::size_t b = merged.GlobalId(study.NetworkIndex("Telepak"), 0);
+  const double alpha = engine.Alpha(a, b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.MinRiskRoute(a, b));
+    benchmark::DoNotOptimize(engine.FindPath(a, b, alpha));
   }
 }
 BENCHMARK(BM_InterdomainPairQuery)->Unit(benchmark::kMicrosecond);

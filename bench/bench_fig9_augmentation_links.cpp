@@ -51,10 +51,10 @@ void Reproduce() {
 
 void BM_AggregateObjectiveSmall(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Deutsche");
+  static const core::RouteEngine engine(study.BuildGraphFor("Deutsche"),
+                                        core::RiskParams{1e5, 1e3});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::AggregateMinBitRisk(graph, core::RiskParams{1e5, 1e3}));
+    benchmark::DoNotOptimize(engine.AggregateMinBitRisk());
   }
 }
 BENCHMARK(BM_AggregateObjectiveSmall)->Unit(benchmark::kMillisecond);

@@ -12,12 +12,9 @@
 #include <iostream>
 #include <limits>
 #include <numeric>
-#include <optional>
-#include <queue>
 
 #include "bench/common.h"
 #include "core/edge_overlay.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
 #include "provision/augmentation.h"
 #include "provision/candidate_links.h"
@@ -30,6 +27,7 @@
 #include "spatial/kd_tree.h"
 #include "stats/bandwidth_cv.h"
 #include "stats/kernel_density.h"
+#include "tests/oracle/reference_routing.h"
 #include "util/rng.h"
 
 namespace {
@@ -307,84 +305,21 @@ BENCHMARK(BM_BandwidthCV)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Routing engine: frozen-CSR RouteEngine sweeps vs the pre-engine path,
-// preserved verbatim as the speedup baseline: adjacency-list iteration,
-// per-edge Eq 1 recomputation through graph.node() lookups, and a freshly
-// allocated std::priority_queue per Dijkstra call.
-
-class LegacyDijkstra {
- public:
-  template <typename WeightFn>
-  void Run(const core::RiskGraph& graph, std::size_t source, WeightFn&& weight,
-           std::optional<std::size_t> target = std::nullopt) {
-    const std::size_t n = graph.node_count();
-    dist_.assign(n, std::numeric_limits<double>::infinity());
-    parent_.assign(n, n);
-    settled_.assign(n, false);
-    dist_[source] = 0.0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    queue.push(Entry{0.0, source});
-    while (!queue.empty()) {
-      const Entry top = queue.top();
-      queue.pop();
-      if (settled_[top.node]) continue;
-      settled_[top.node] = true;
-      if (target && top.node == *target) return;
-      for (const core::RiskEdge& edge : graph.OutEdges(top.node)) {
-        if (settled_[edge.to]) continue;
-        const double candidate = dist_[top.node] + weight(top.node, edge);
-        if (candidate < dist_[edge.to]) {
-          dist_[edge.to] = candidate;
-          parent_[edge.to] = top.node;
-          queue.push(Entry{candidate, edge.to});
-        }
-      }
-    }
-  }
-
-  [[nodiscard]] double DistanceTo(std::size_t node) const {
-    return dist_[node];
-  }
-  [[nodiscard]] bool Reached(std::size_t node) const {
-    return dist_[node] < std::numeric_limits<double>::infinity();
-  }
-
- private:
-  struct Entry {
-    double dist;
-    std::size_t node;
-    bool operator>(const Entry& other) const { return dist > other.dist; }
-  };
-
-  std::vector<double> dist_;
-  std::vector<std::size_t> parent_;
-  std::vector<bool> settled_;
-};
-
-/// The pre-engine per-edge Eq 1 weight: two node() lookups' worth of risk
-/// recomputation per relaxation.
-struct LegacyBitRiskWeight {
-  const core::RiskGraph* graph;
-  core::RiskParams params;
-  double alpha;
-
-  double operator()(std::size_t, const core::RiskEdge& edge) const {
-    const core::RiskNode& to = graph->node(edge.to);
-    return edge.miles + alpha * (params.lambda_historical * to.historical_risk +
-                                 params.lambda_forecast * to.forecast_risk);
-  }
-};
+// kept as the speedup baseline in the shared reference oracle:
+// adjacency-list iteration, per-edge Eq 1 recomputation through
+// graph.node() lookups, and a freshly allocated std::priority_queue per
+// Dijkstra call.
 
 /// Pre-engine Eq 4: one targeted legacy Dijkstra per unordered pair.
 double LegacyAggregateMinBitRisk(const core::RiskGraph& graph,
                                  const core::RiskParams& params,
-                                 LegacyDijkstra& workspace) {
+                                 oracle::Dijkstra& workspace) {
   const std::size_t n = graph.node_count();
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double alpha =
-          graph.node(i).impact_fraction + graph.node(j).impact_fraction;
-      workspace.Run(graph, i, LegacyBitRiskWeight{&graph, params, alpha}, j);
+      const double alpha = oracle::Alpha(graph, i, j);
+      workspace.Run(graph, i, oracle::BitRiskWeight{&graph, params, alpha}, j);
       if (workspace.Reached(j)) total += workspace.DistanceTo(j);
     }
   }
@@ -396,7 +331,7 @@ constexpr core::RiskParams kRouteBenchParams{1e5, 1e3};
 void BM_RouteAllPairsLegacy(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
   static const core::RiskGraph graph = study.BuildGraphFor("Level3");
-  LegacyDijkstra workspace;
+  oracle::Dijkstra workspace;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         LegacyAggregateMinBitRisk(graph, kRouteBenchParams, workspace));
@@ -445,7 +380,7 @@ void BM_GreedyScanLegacy(benchmark::State& state) {
   // The pre-engine candidate scan: mutate the working graph, re-run the
   // full Eq 4 sweep, restore — once per candidate.
   core::RiskGraph working = fixture.graph;
-  LegacyDijkstra workspace;
+  oracle::Dijkstra workspace;
   for (auto _ : state) {
     double sink = 0.0;
     for (const provision::CandidateLink& link : fixture.candidates) {
@@ -472,12 +407,13 @@ BENCHMARK(BM_GreedyScanEngine)->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraLevel3AllTargets(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Level3");
+  static const core::RouteEngine engine(study.BuildGraphFor("Level3"),
+                                        kRouteBenchParams);
   core::DijkstraWorkspace workspace;
   std::size_t source = 0;
   for (auto _ : state) {
-    workspace.Run(graph, source % graph.node_count(), core::DistanceWeight);
-    benchmark::DoNotOptimize(workspace.DistanceTo(graph.node_count() - 1));
+    engine.RunDistance(workspace, source % engine.node_count());
+    benchmark::DoNotOptimize(workspace.DistanceTo(engine.node_count() - 1));
     ++source;
   }
 }
@@ -485,21 +421,22 @@ BENCHMARK(BM_DijkstraLevel3AllTargets)->Unit(benchmark::kMicrosecond);
 
 void BM_PathBitRiskEvaluation(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Level3");
-  const core::RiskRouter router(graph, core::RiskParams{1e5, 1e3});
-  const auto route = router.ShortestRoute(0, graph.node_count() - 1);
+  static const core::RouteEngine engine(study.BuildGraphFor("Level3"),
+                                        kRouteBenchParams);
+  const auto path = engine.FindPath(0, engine.node_count() - 1, 0.0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(router.PathBitRiskMiles(route->path));
+    benchmark::DoNotOptimize(engine.PathBitRiskMiles(*path));
   }
 }
 BENCHMARK(BM_PathBitRiskEvaluation);
 
 void BM_IntradomainRatiosParallel(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Tinet");
+  static const core::RouteEngine engine(study.BuildGraphFor("Tinet"),
+                                        kRouteBenchParams);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ComputeIntradomainRatios(
-        graph, core::RiskParams{1e5, 1e3}, &bench::SharedPool()));
+    benchmark::DoNotOptimize(
+        bench::IntradomainRatios(engine, &bench::SharedPool()));
   }
 }
 BENCHMARK(BM_IntradomainRatiosParallel)->Unit(benchmark::kMillisecond);
@@ -510,7 +447,7 @@ void BM_AdvisoryRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     const std::string text =
         forecast::RenderAdvisory(advisories[i % advisories.size()]);
-    benchmark::DoNotOptimize(forecast::ParseAdvisory(text));
+    benchmark::DoNotOptimize(forecast::ParseAdvisoryResult(text));
     ++i;
   }
 }

@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench/common.h"
-#include "core/riskroute.h"
 #include "hazard/seasonal.h"
 #include "hazard/synthesis.h"
 
@@ -56,8 +55,8 @@ void Reproduce() {
         if (e.to > i) seasonal_graph.AddEdge(i, e.to, e.miles);
       }
     }
-    const core::RatioReport report = core::ComputeIntradomainRatios(
-        seasonal_graph, core::RiskParams{1e5, 1e3}, &pool);
+    const core::RatioReport report = bench::IntradomainRatios(
+        core::RouteEngine(seasonal_graph, core::RiskParams{1e5, 1e3}), &pool);
     ratios.Add(std::string(hazard::ToString(season)),
                report.risk_reduction_ratio, report.distance_increase_ratio);
   }

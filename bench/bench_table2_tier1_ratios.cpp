@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench/common.h"
-#include "core/riskroute.h"
 
 namespace {
 
@@ -25,10 +24,10 @@ void Reproduce() {
                      "RR (1e6)", "DIR (1e6)"});
   for (const char* name : kTier1Names) {
     const core::RiskGraph graph = study.BuildGraphFor(name);
-    const core::RatioReport low = core::ComputeIntradomainRatios(
-        graph, core::RiskParams{1e5, 1e3}, &pool);
-    const core::RatioReport high = core::ComputeIntradomainRatios(
-        graph, core::RiskParams{1e6, 1e3}, &pool);
+    const core::RatioReport low = bench::IntradomainRatios(
+        core::RouteEngine(graph, core::RiskParams{1e5, 1e3}), &pool);
+    const core::RatioReport high = bench::IntradomainRatios(
+        core::RouteEngine(graph, core::RiskParams{1e6, 1e3}), &pool);
     table.Add(name, graph.node_count(), low.risk_reduction_ratio,
               low.distance_increase_ratio, high.risk_reduction_ratio,
               high.distance_increase_ratio);
@@ -40,13 +39,15 @@ void Reproduce() {
 
 void BM_SinglePairRiskRoute(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Level3");
-  const core::RiskRouter router(graph, core::RiskParams{1e5, 1e3});
+  static const core::RouteEngine engine(study.BuildGraphFor("Level3"),
+                                        core::RiskParams{1e5, 1e3});
   std::size_t i = 0;
   for (auto _ : state) {
-    const std::size_t a = i % graph.node_count();
-    const std::size_t b = (i * 37 + 11) % graph.node_count();
-    if (a != b) benchmark::DoNotOptimize(router.MinRiskRoute(a, b));
+    const std::size_t a = i % engine.node_count();
+    const std::size_t b = (i * 37 + 11) % engine.node_count();
+    if (a != b) {
+      benchmark::DoNotOptimize(engine.FindPath(a, b, engine.Alpha(a, b)));
+    }
     ++i;
   }
 }
@@ -54,10 +55,10 @@ BENCHMARK(BM_SinglePairRiskRoute)->Unit(benchmark::kMicrosecond);
 
 void BM_AllPairsRatiosSmallTier1(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Deutsche");
+  static const core::RouteEngine engine(study.BuildGraphFor("Deutsche"),
+                                        core::RiskParams{1e5, 1e3});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ComputeIntradomainRatios(
-        graph, core::RiskParams{1e5, 1e3}, nullptr));
+    benchmark::DoNotOptimize(bench::IntradomainRatios(engine, nullptr));
   }
 }
 BENCHMARK(BM_AllPairsRatiosSmallTier1)->Unit(benchmark::kMillisecond);

@@ -11,7 +11,6 @@
 
 #include "bench/common.h"
 #include "core/interdomain.h"
-#include "core/riskroute.h"
 #include "stats/regression.h"
 #include "util/rng.h"
 
@@ -23,7 +22,7 @@ void Reproduce() {
   const core::Study& study = bench::SharedStudy();
   util::ThreadPool& pool = bench::SharedPool();
   const core::MergedGraph merged = study.BuildMerged();
-  const core::RiskParams params{1e5, 1e3};
+  const core::RouteEngine engine(merged.graph, core::RiskParams{1e5, 1e3});
 
   const auto regionals =
       study.corpus().NetworksOfKind(topology::NetworkKind::kRegional);
@@ -32,7 +31,7 @@ void Reproduce() {
   for (const std::size_t n : regionals) {
     const topology::Network& network = study.corpus().network(n);
     const core::RatioReport report =
-        core::InterdomainRatios(merged, study.corpus(), n, params, &pool);
+        core::InterdomainRatios(engine, merged, study.corpus(), n, &pool);
     rr.push_back(report.risk_reduction_ratio);
     dir.push_back(report.distance_increase_ratio);
     footprint.push_back(network.FootprintMiles());

@@ -11,8 +11,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "core/route_engine.h"
 #include "core/study.h"
 #include "obs/metrics.h"
 #include "util/table.h"
@@ -30,6 +33,15 @@ inline const core::Study& SharedStudy() {
 inline util::ThreadPool& SharedPool() {
   static util::ThreadPool pool;
   return pool;
+}
+
+/// Eq 5 / Eq 6 ratios with every frozen PoP as both source and target —
+/// the Table 2 per-network computation.
+inline core::RatioReport IntradomainRatios(const core::RouteEngine& engine,
+                                           util::ThreadPool* pool) {
+  std::vector<std::size_t> everyone(engine.node_count());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  return engine.ComputeRatios(everyone, everyone, pool);
 }
 
 /// Prints a banner separating the reproduction output from benchmark noise.

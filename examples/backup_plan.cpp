@@ -52,10 +52,11 @@ int main(int argc, char** argv) {
                 graph.node(sorted[i].b).name.c_str(), sorted[i].cost);
   }
 
-  // --- 2. IP-FRR coverage under the composite weight. ---
-  const auto weight = core::CompositeWeight(graph, ospf_options);
-  const core::RoutingTable table = core::BuildRoutingTable(graph, weight);
-  const auto lfas = core::ComputeLfas(graph, table);
+  // --- 2. IP-FRR coverage under the composite costs (routed at alpha 0). ---
+  const core::RouteEngine composite =
+      core::CompositeEngine(graph, ospf_options);
+  const core::RoutingTable table = core::BuildRoutingTable(composite, 0.0);
+  const auto lfas = core::ComputeLfas(composite, table);
   std::printf("\n2. IP Fast Reroute: %.1f%% of (src,dst) pairs have a "
               "loop-free alternate ready.\n",
               100.0 * core::LfaCoverage(lfas));
@@ -76,7 +77,8 @@ int main(int argc, char** argv) {
   for (const core::RiskEdge& e : graph.OutEdges(riskiest)) {
     for (const core::RiskEdge& f : graph.OutEdges(riskiest)) {
       if (e.to >= f.to) continue;
-      const auto bypass = core::NodeBypass(graph, e.to, f.to, riskiest, weight);
+      const auto bypass =
+          core::NodeBypass(composite, e.to, f.to, riskiest, 0.0);
       if (bypass) {
         ++protected_count;
       } else {
@@ -108,13 +110,10 @@ int main(int argc, char** argv) {
   std::printf("\n4. Node-disjoint primary/backup between %s and %s "
               "(bit-risk objective):\n",
               graph.node(src).name.c_str(), graph.node(dst).name.c_str());
-  const core::RiskRouter router(graph, core::RiskParams{1e5, 1e3});
-  const double alpha = router.Alpha(src, dst);
-  const auto bit_risk_weight = [&](std::size_t, const core::RiskEdge& e) {
-    return e.miles + alpha * router.NodeScore(e.to);
-  };
-  const auto pair = core::FindDisjointPair(
-      graph, src, dst, bit_risk_weight, core::Disjointness::kNodeDisjoint);
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 1e3});
+  const auto pair =
+      core::FindDisjointPair(engine, src, dst, engine.Alpha(src, dst),
+                             core::Disjointness::kNodeDisjoint);
   if (!pair) {
     std::puts("   no node-disjoint pair exists (articulation point between "
               "the endpoints)");

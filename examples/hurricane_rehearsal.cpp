@@ -33,9 +33,13 @@ int main(int argc, char** argv) {
 
   std::puts("Building the RiskRoute study...");
   const core::Study study = core::Study::Build();
-  core::RiskGraph graph = study.BuildGraphFor(network_name);
+  // Frozen once; each advisory only re-planes the forecast risks.
+  core::RouteEngine engine(study.BuildGraphFor(network_name),
+                           core::RiskParams{1e5, 1e3});
+  const std::size_t n = engine.node_count();
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
   util::ThreadPool pool;
-  const core::RiskParams params{1e5, 1e3};
 
   std::printf("\nReplaying %s against %s (%zu advisories, parsed from "
               "NHC-format bulletins)\n\n",
@@ -46,20 +50,21 @@ int main(int argc, char** argv) {
   const auto texts = forecast::GenerateAdvisoryTexts(track);
   for (std::size_t a = 0; a < texts.size(); a += 4) {
     // Parse the advisory text exactly as an operator's tooling would.
-    const forecast::Advisory advisory = forecast::ParseAdvisory(texts[a]);
+    const forecast::Advisory advisory =
+        forecast::ParseAdvisoryResult(texts[a]).ValueOrThrow();
     const forecast::ForecastRiskField field(advisory);
 
     std::size_t in_hurricane = 0, in_tropical = 0;
-    std::vector<double> risks(graph.node_count());
-    for (std::size_t i = 0; i < graph.node_count(); ++i) {
-      risks[i] = field.RiskAt(graph.node(i).location);
-      const auto zone = forecast::ZoneAt(advisory, graph.node(i).location);
+    std::vector<double> risks(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      risks[i] = field.RiskAt(engine.location(i));
+      const auto zone = forecast::ZoneAt(advisory, engine.location(i));
       if (zone == forecast::WindZone::kHurricane) ++in_hurricane;
       if (zone != forecast::WindZone::kNone) ++in_tropical;
     }
-    graph.SetForecastRisks(risks);
+    engine.SetForecastRisks(risks);
     const core::RatioReport report =
-        core::ComputeIntradomainRatios(graph, params, &pool);
+        engine.ComputeRatios(everyone, everyone, &pool);
     std::printf("%-32s %8zu %8zu %10.3f %10.3f\n",
                 advisory.time.ToString().c_str(), in_hurricane, in_tropical,
                 report.risk_reduction_ratio, report.distance_increase_ratio);

@@ -14,13 +14,13 @@ using namespace riskroute;
 
 namespace {
 
-void PrintRoute(const core::RiskGraph& graph, const char* label,
-                const core::RouteResult& route) {
+void PrintRoute(const core::RouteEngine& engine, const char* label,
+                const core::Path& path, const core::PathMetrics& metrics) {
   std::printf("%s: %.0f miles, %.0f bit-risk miles\n  ", label,
-              route.miles, route.bit_risk_miles);
-  for (std::size_t i = 0; i < route.path.size(); ++i) {
-    std::printf("%s%s", graph.node(route.path[i]).name.c_str(),
-                i + 1 == route.path.size() ? "\n" : " -> ");
+              metrics.miles, metrics.bit_risk_miles);
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    std::printf("%s%s", engine.node_name(path[i]).c_str(),
+                i + 1 == path.size() ? "\n" : " -> ");
   }
 }
 
@@ -62,29 +62,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Freeze once into the typed api layer — the same riskroute::api::Service
+  // the CLI subcommands and riskroute_serverd answer from — and route on
+  // its engine: alpha = 0 is the distance metric, alpha_ij the Eq 1 one.
+  const api::Service service(
+      core::RouteEngine(graph, core::RiskParams{1e5, 1e3}));
+  const core::RouteEngine& engine = service.engine();
   std::printf("\nRouting %s -> %s (lambda_h = 1e5, lambda_f = 1e3):\n\n",
-              graph.node(src).name.c_str(), graph.node(dst).name.c_str());
-  const core::RiskRouter router(graph, core::RiskParams{1e5, 1e3});
-  const auto shortest = router.ShortestRoute(src, dst);
-  const auto risk_aware = router.MinRiskRoute(src, dst);
+              engine.node_name(src).c_str(), engine.node_name(dst).c_str());
+  const auto shortest = engine.FindPath(src, dst, 0.0);
+  const auto risk_aware = engine.FindPath(src, dst, engine.Alpha(src, dst));
   if (!shortest || !risk_aware) {
     std::fprintf(stderr, "PoPs are not connected\n");
     return 1;
   }
-  PrintRoute(graph, "Geographic shortest path", *shortest);
+  const core::PathMetrics shortest_metrics = engine.Measure(*shortest);
+  const core::PathMetrics risk_metrics = engine.Measure(*risk_aware);
+  PrintRoute(engine, "Geographic shortest path", *shortest, shortest_metrics);
   std::printf("\n");
-  PrintRoute(graph, "RiskRoute (min bit-risk) ", *risk_aware);
+  PrintRoute(engine, "RiskRoute (min bit-risk) ", *risk_aware, risk_metrics);
 
   std::printf("\nBit-risk saved: %.1f%%, extra distance paid: %.1f%%\n",
-              100.0 * (1.0 - risk_aware->bit_risk_miles /
-                                 shortest->bit_risk_miles),
-              100.0 * (risk_aware->miles / shortest->miles - 1.0));
+              100.0 * (1.0 - risk_metrics.bit_risk_miles /
+                                 shortest_metrics.bit_risk_miles),
+              100.0 * (risk_metrics.miles / shortest_metrics.miles - 1.0));
 
-  // Network-wide sweep through the typed api layer — the same
-  // riskroute::api::Service the CLI subcommands and riskroute_serverd
-  // answer from, so this body is byte-identical to `riskroute ratios`.
-  const api::Service service(
-      core::RouteEngine(graph, core::RiskParams{1e5, 1e3}));
+  // Network-wide sweep: this body is byte-identical to `riskroute ratios`.
   api::RatiosRequest ratios_request;
   ratios_request.label = network_name;
   const api::RatiosResponse ratios = service.Ratios(ratios_request);

@@ -34,7 +34,6 @@
 #include "core/path_metrics.h"
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
 #include "core/study.h"
 

@@ -32,7 +32,6 @@
 
 #include "core/risk_params.h"
 #include "core/route_engine.h"
-#include "core/riskroute.h"
 #include "forecast/streaming.h"
 #include "hazard/catalog.h"
 #include "provision/augmentation.h"

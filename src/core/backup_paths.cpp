@@ -4,28 +4,6 @@
 
 namespace riskroute::core {
 
-RoutingTable BuildRoutingTable(const RiskGraph& graph,
-                               const EdgeWeightFn& weight) {
-  const std::size_t n = graph.node_count();
-  RoutingTable table;
-  table.next_hop.assign(n, std::vector<std::size_t>(n, RoutingTable::kUnreachable));
-  table.dist.assign(n, std::vector<double>(n, DijkstraWorkspace::Infinity()));
-  DijkstraWorkspace workspace;
-  for (std::size_t s = 0; s < n; ++s) {
-    workspace.Run(graph, s, weight);
-    for (std::size_t d = 0; d < n; ++d) {
-      if (!workspace.Reached(d)) continue;
-      table.dist[s][d] = workspace.DistanceTo(d);
-      if (d == s) {
-        table.next_hop[s][d] = s;
-      } else {
-        table.next_hop[s][d] = workspace.PathTo(d)[1];
-      }
-    }
-  }
-  return table;
-}
-
 RoutingTable BuildRoutingTable(const RouteEngine& engine, double alpha,
                                util::ThreadPool* pool,
                                const EdgeOverlay* overlay) {
@@ -54,11 +32,11 @@ RoutingTable BuildRoutingTable(const RouteEngine& engine, double alpha,
   return table;
 }
 
-std::vector<std::vector<LfaEntry>> ComputeLfas(const RiskGraph& graph,
+std::vector<std::vector<LfaEntry>> ComputeLfas(const RouteEngine& engine,
                                                const RoutingTable& table) {
-  const std::size_t n = graph.node_count();
+  const std::size_t n = engine.node_count();
   if (table.dist.size() != n) {
-    throw InvalidArgument("ComputeLfas: table does not match graph");
+    throw InvalidArgument("ComputeLfas: table does not match engine");
   }
   std::vector<std::vector<LfaEntry>> lfas(n, std::vector<LfaEntry>(n));
   for (std::size_t s = 0; s < n; ++s) {
@@ -68,8 +46,8 @@ std::vector<std::vector<LfaEntry>> ComputeLfas(const RiskGraph& graph,
       if (d == s || entry.primary_next_hop == RoutingTable::kUnreachable) {
         continue;
       }
-      for (const RiskEdge& edge : graph.OutEdges(s)) {
-        const std::size_t neighbor = edge.to;
+      for (std::size_t e = engine.EdgeBegin(s); e < engine.EdgeEnd(s); ++e) {
+        const std::size_t neighbor = engine.EdgeHead(e);
         if (neighbor == entry.primary_next_hop) continue;
         // RFC 5286 basic loop-free condition.
         if (table.dist[neighbor][d] <
@@ -98,39 +76,6 @@ double LfaCoverage(const std::vector<std::vector<LfaEntry>>& lfas) {
   return static_cast<double>(protected_pairs) / static_cast<double>(routable);
 }
 
-std::optional<Path> LinkBypass(const RiskGraph& graph, std::size_t u,
-                               std::size_t v, const EdgeWeightFn& weight) {
-  if (!graph.HasEdge(u, v)) {
-    throw InvalidArgument("LinkBypass: protected link does not exist");
-  }
-  const auto masked = [&](std::size_t from, const RiskEdge& edge) {
-    if ((from == u && edge.to == v) || (from == v && edge.to == u)) {
-      return DijkstraWorkspace::Infinity();
-    }
-    return weight(from, edge);
-  };
-  DijkstraWorkspace workspace;
-  workspace.Run(graph, u, masked, v);
-  if (!workspace.Reached(v)) return std::nullopt;
-  return workspace.PathTo(v);
-}
-
-std::optional<Path> NodeBypass(const RiskGraph& graph, std::size_t u,
-                               std::size_t dst, std::size_t protect,
-                               const EdgeWeightFn& weight) {
-  if (protect == u || protect == dst) {
-    throw InvalidArgument("NodeBypass: cannot protect an endpoint");
-  }
-  const auto masked = [&](std::size_t from, const RiskEdge& edge) {
-    if (edge.to == protect) return DijkstraWorkspace::Infinity();
-    return weight(from, edge);
-  };
-  DijkstraWorkspace workspace;
-  workspace.Run(graph, u, masked, dst);
-  if (!workspace.Reached(dst)) return std::nullopt;
-  return workspace.PathTo(dst);
-}
-
 std::optional<Path> LinkBypass(const RouteEngine& engine, std::size_t u,
                                std::size_t v, double alpha) {
   if (!engine.HasEdge(u, v)) {
@@ -138,10 +83,7 @@ std::optional<Path> LinkBypass(const RouteEngine& engine, std::size_t u,
   }
   EdgeOverlay overlay;
   overlay.RemoveEdge(u, v);
-  thread_local DijkstraWorkspace workspace;
-  engine.Run(workspace, u, alpha, v, &overlay);
-  if (!workspace.Reached(v)) return std::nullopt;
-  return workspace.PathTo(v);
+  return engine.FindPath(u, v, alpha, &overlay);
 }
 
 std::optional<Path> NodeBypass(const RouteEngine& engine, std::size_t u,
@@ -150,12 +92,12 @@ std::optional<Path> NodeBypass(const RouteEngine& engine, std::size_t u,
   if (protect == u || protect == dst) {
     throw InvalidArgument("NodeBypass: cannot protect an endpoint");
   }
+  if (protect >= engine.node_count()) {
+    throw InvalidArgument("NodeBypass: protected node out of range");
+  }
   EdgeOverlay overlay;
   overlay.DisableNode(protect);
-  thread_local DijkstraWorkspace workspace;
-  engine.Run(workspace, u, alpha, dst, &overlay);
-  if (!workspace.Reached(dst)) return std::nullopt;
-  return workspace.PathTo(dst);
+  return engine.FindPath(u, dst, alpha, &overlay);
 }
 
 }  // namespace riskroute::core

@@ -17,14 +17,12 @@
 #include <optional>
 #include <vector>
 
-#include "core/risk_graph.h"
 #include "core/route_engine.h"
-#include "core/shortest_path.h"
 #include "util/thread_pool.h"
 
 namespace riskroute::core {
 
-/// Destination-based routing table under one link-weight function:
+/// Destination-based routing table under one link weight:
 /// next_hop[s][d] is the first hop from s toward d (s itself when s == d;
 /// kUnreachable when disconnected).
 struct RoutingTable {
@@ -35,13 +33,9 @@ struct RoutingTable {
   std::vector<std::vector<double>> dist;
 };
 
-/// All-pairs routing table (N single-source Dijkstras).
-[[nodiscard]] RoutingTable BuildRoutingTable(const RiskGraph& graph,
-                                             const EdgeWeightFn& weight);
-
-/// Engine variant under weight miles + alpha * score: the N sweeps run on
-/// the frozen CSR, parallel over sources when a pool is given (disjoint
-/// table rows; bitwise thread-count independent).
+/// All-pairs routing table under weight miles + alpha * score: N
+/// single-source sweeps on the frozen CSR, parallel over sources when a
+/// pool is given (disjoint table rows; bitwise thread-count independent).
 [[nodiscard]] RoutingTable BuildRoutingTable(const RouteEngine& engine,
                                              double alpha,
                                              util::ThreadPool* pool = nullptr,
@@ -56,35 +50,26 @@ struct LfaEntry {
   std::vector<std::size_t> alternates;
 };
 
-/// LFAs for every (source, destination) pair. alternates exclude the
-/// primary next hop.
+/// LFAs for every (source, destination) pair over the engine's frozen
+/// links. alternates exclude the primary next hop.
 [[nodiscard]] std::vector<std::vector<LfaEntry>> ComputeLfas(
-    const RiskGraph& graph, const RoutingTable& table);
+    const RouteEngine& engine, const RoutingTable& table);
 
 /// Fraction of (source, destination, primary-next-hop) triples that have
 /// at least one loop-free alternate — the standard IP-FRR coverage metric.
 [[nodiscard]] double LfaCoverage(const std::vector<std::vector<LfaEntry>>& lfas);
 
 /// MPLS-style bypass: the best path from `u` to `v` that avoids the
-/// protected link (u, v) itself. nullopt when no detour exists.
-[[nodiscard]] std::optional<Path> LinkBypass(const RiskGraph& graph,
-                                             std::size_t u, std::size_t v,
-                                             const EdgeWeightFn& weight);
-
-/// Engine variant: the protected link fails as an EdgeOverlay removal.
+/// protected link (u, v) itself, which fails as an EdgeOverlay removal.
+/// nullopt when no detour exists; throws if the link does not exist.
 [[nodiscard]] std::optional<Path> LinkBypass(const RouteEngine& engine,
                                              std::size_t u, std::size_t v,
                                              double alpha);
 
 /// MPLS-style node protection: best path from `u` to `dst` avoiding the
-/// protected intermediate node `protect` entirely. nullopt when no detour
-/// exists. Throws if protect is u or dst.
-[[nodiscard]] std::optional<Path> NodeBypass(const RiskGraph& graph,
-                                             std::size_t u, std::size_t dst,
-                                             std::size_t protect,
-                                             const EdgeWeightFn& weight);
-
-/// Engine variant: the protected node fails as an EdgeOverlay disable.
+/// protected intermediate node `protect` entirely, which fails as an
+/// EdgeOverlay disable. nullopt when no detour exists. Throws if protect
+/// is u or dst or not a node of the engine.
 [[nodiscard]] std::optional<Path> NodeBypass(const RouteEngine& engine,
                                              std::size_t u, std::size_t dst,
                                              std::size_t protect, double alpha);

@@ -34,9 +34,9 @@ struct ArcGraph {
 /// in-node 2i and out-node 2i+1 joined by a zero-weight arc; undirected
 /// links become u_out -> v_in arcs both ways. Without splitting, node i
 /// maps to itself.
-ArcGraph BuildArcGraph(const RiskGraph& graph, const EdgeWeightFn& weight,
+ArcGraph BuildArcGraph(const RouteEngine& engine, double alpha,
                        bool split_nodes) {
-  const std::size_t n = graph.node_count();
+  const std::size_t n = engine.node_count();
   ArcGraph work;
   work.node_count = split_nodes ? 2 * n : n;
   work.out.resize(work.node_count);
@@ -46,15 +46,16 @@ ArcGraph BuildArcGraph(const RiskGraph& graph, const EdgeWeightFn& weight,
     }
   }
   for (std::size_t u = 0; u < n; ++u) {
-    for (const RiskEdge& edge : graph.OutEdges(u)) {
-      const double w = weight(u, edge);
+    for (std::size_t e = engine.EdgeBegin(u); e < engine.EdgeEnd(u); ++e) {
+      const std::size_t to = engine.EdgeHead(e);
+      const double w = engine.EdgeMiles(e) + alpha * engine.EdgeRisk(e);
       if (w < 0.0) {
         throw InvalidArgument("FindDisjointPair: negative edge weight");
       }
       if (split_nodes) {
-        work.AddArc(2 * u + 1, 2 * edge.to, w);
+        work.AddArc(2 * u + 1, 2 * to, w);
       } else {
-        work.AddArc(u, edge.to, w);
+        work.AddArc(u, to, w);
       }
     }
   }
@@ -114,12 +115,12 @@ Path Unsplit(const std::vector<std::size_t>& nodes, bool split_nodes) {
 
 }  // namespace
 
-std::optional<DisjointPathPair> FindDisjointPair(const RiskGraph& graph,
+std::optional<DisjointPathPair> FindDisjointPair(const RouteEngine& engine,
                                                  std::size_t source,
                                                  std::size_t target,
-                                                 const EdgeWeightFn& weight,
+                                                 double alpha,
                                                  Disjointness disjointness) {
-  const std::size_t n = graph.node_count();
+  const std::size_t n = engine.node_count();
   if (source >= n || target >= n) {
     throw InvalidArgument("FindDisjointPair: node out of range");
   }
@@ -127,7 +128,7 @@ std::optional<DisjointPathPair> FindDisjointPair(const RiskGraph& graph,
     throw InvalidArgument("FindDisjointPair: source equals target");
   }
   const bool split = disjointness == Disjointness::kNodeDisjoint;
-  ArcGraph work = BuildArcGraph(graph, weight, split);
+  ArcGraph work = BuildArcGraph(engine, alpha, split);
   const std::size_t s = split ? 2 * source + 1 : source;  // leave from out
   const std::size_t t = split ? 2 * target : target;      // arrive at in
 
@@ -191,26 +192,11 @@ std::optional<DisjointPathPair> FindDisjointPair(const RiskGraph& graph,
   pair.second = Unsplit(walk(), split);
 
   // Total weight from the recovered paths under the original objective.
-  const auto path_weight = [&](const Path& path) {
-    double total = 0.0;
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      bool found = false;
-      for (const RiskEdge& edge : graph.OutEdges(path[i - 1])) {
-        if (edge.to == path[i]) {
-          total += weight(path[i - 1], edge);
-          found = true;
-          break;
-        }
-      }
-      if (!found) throw InternalError("FindDisjointPair: broken output path");
-    }
-    return total;
-  };
-  pair.total_weight = path_weight(pair.first) + path_weight(pair.second);
+  const double first_weight = engine.PathWeight(pair.first, alpha);
+  const double second_weight = engine.PathWeight(pair.second, alpha);
+  pair.total_weight = first_weight + second_weight;
   // Convention: report the lighter path first (the primary).
-  if (path_weight(pair.second) < path_weight(pair.first)) {
-    std::swap(pair.first, pair.second);
-  }
+  if (second_weight < first_weight) std::swap(pair.first, pair.second);
   return pair;
 }
 

@@ -15,13 +15,12 @@
 #include <optional>
 #include <vector>
 
-#include "core/risk_graph.h"
-#include "core/shortest_path.h"
+#include "core/route_engine.h"
 
 namespace riskroute::core {
 
 /// A disjoint pair; `total_weight` is the sum of both paths' weights under
-/// the requested objective.
+/// the requested alpha.
 struct DisjointPathPair {
   Path first;
   Path second;
@@ -34,12 +33,12 @@ enum class Disjointness {
   kNodeDisjoint,  // no shared node except the endpoints
 };
 
-/// Minimum-total-weight disjoint path pair between `source` and `target`,
-/// or nullopt when the graph does not admit one. `weight(from, edge)` must
-/// be non-negative. Throws on bad node indices or source == target.
+/// Minimum-total-weight disjoint path pair between `source` and `target`
+/// under the engine's link weight miles + alpha * score (alpha = 0 is the
+/// distance metric), or nullopt when the frozen graph does not admit one.
+/// Throws on bad node indices or source == target.
 [[nodiscard]] std::optional<DisjointPathPair> FindDisjointPair(
-    const RiskGraph& graph, std::size_t source, std::size_t target,
-    const EdgeWeightFn& weight,
-    Disjointness disjointness = Disjointness::kNodeDisjoint);
+    const RouteEngine& engine, std::size_t source, std::size_t target,
+    double alpha, Disjointness disjointness = Disjointness::kNodeDisjoint);
 
 }  // namespace riskroute::core

@@ -1,6 +1,5 @@
 #include "core/interdomain.h"
 
-#include "core/route_engine.h"
 #include "geo/distance.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -85,19 +84,6 @@ std::vector<std::size_t> RegionalTargets(const MergedGraph& merged,
     for (const std::size_t id : merged.global_ids[n]) targets.push_back(id);
   }
   return targets;
-}
-
-RatioReport InterdomainRatios(const MergedGraph& merged,
-                              const topology::Corpus& corpus,
-                              std::size_t network_index,
-                              const RiskParams& params,
-                              util::ThreadPool* pool) {
-  if (network_index >= corpus.network_count()) {
-    throw InvalidArgument("InterdomainRatios: network index out of range");
-  }
-  const std::vector<std::size_t>& sources = merged.global_ids[network_index];
-  const std::vector<std::size_t> targets = RegionalTargets(merged, corpus);
-  return ComputeRatios(merged.graph, params, sources, targets, pool);
 }
 
 RatioReport InterdomainRatios(const RouteEngine& engine,

@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "core/risk_graph.h"
-#include "core/risk_params.h"
-#include "core/riskroute.h"
+#include "core/route_engine.h"
 #include "hazard/risk_field.h"
 #include "population/assignment.h"
 #include "topology/corpus.h"
@@ -60,16 +59,8 @@ struct MergeOptions {
 /// Section 7 evaluation: every PoP of `network_index` is a source, and the
 /// targets are all PoPs of every regional network in the corpus. The
 /// shortest-path result is the paper's upper bound; the RiskRoute result
-/// its lower bound; the report compares the two.
-[[nodiscard]] RatioReport InterdomainRatios(const MergedGraph& merged,
-                                            const topology::Corpus& corpus,
-                                            std::size_t network_index,
-                                            const RiskParams& params,
-                                            util::ThreadPool* pool = nullptr);
-
-/// Same, against an engine already frozen from `merged.graph` (saves the
-/// per-call freeze when sweeping many networks over one merged graph).
-class RouteEngine;
+/// its lower bound; the report compares the two. `engine` must be frozen
+/// from `merged.graph`; freeze it once and reuse it across networks.
 [[nodiscard]] RatioReport InterdomainRatios(const RouteEngine& engine,
                                             const MergedGraph& merged,
                                             const topology::Corpus& corpus,

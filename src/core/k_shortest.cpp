@@ -1,121 +1,11 @@
 #include "core/k_shortest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace riskroute::core {
-namespace {
-
-/// Edge-weight wrapper that masks a set of removed nodes and edges.
-struct MaskedWeight {
-  const EdgeWeightFn* base;
-  const std::vector<bool>* removed_nodes;
-  const std::set<std::pair<std::size_t, std::size_t>>* removed_edges;
-
-  double operator()(std::size_t from, const RiskEdge& edge) const {
-    if ((*removed_nodes)[edge.to] ||
-        removed_edges->contains({from, edge.to})) {
-      return DijkstraWorkspace::Infinity();
-    }
-    return (*base)(from, edge);
-  }
-};
-
-double PathWeight(const RiskGraph& graph, const Path& path,
-                  const EdgeWeightFn& weight) {
-  double total = 0.0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    bool found = false;
-    for (const RiskEdge& edge : graph.OutEdges(path[i - 1])) {
-      if (edge.to == path[i]) {
-        total += weight(path[i - 1], edge);
-        found = true;
-        break;
-      }
-    }
-    if (!found) throw InternalError("KShortestPaths: broken candidate path");
-  }
-  return total;
-}
-
-}  // namespace
-
-std::vector<WeightedPath> KShortestPaths(const RiskGraph& graph,
-                                         std::size_t source,
-                                         std::size_t target, std::size_t k,
-                                         const EdgeWeightFn& weight) {
-  if (k == 0) throw InvalidArgument("KShortestPaths: k must be positive");
-  if (source >= graph.node_count() || target >= graph.node_count()) {
-    throw InvalidArgument("KShortestPaths: node out of range");
-  }
-  if (source == target) {
-    return {WeightedPath{{}, Path{source}, 0.0}};
-  }
-
-  std::vector<WeightedPath> accepted;
-  // Candidate pool; keyed by (weight, path) so duplicates coalesce.
-  auto compare = [](const WeightedPath& a, const WeightedPath& b) {
-    if (a.weight != b.weight) return a.weight < b.weight;
-    return a.path < b.path;
-  };
-  std::set<WeightedPath, decltype(compare)> candidates(compare);
-
-  {
-    const auto first = ShortestPathWith(graph, source, target, weight);
-    if (!first) return {};
-    accepted.push_back(WeightedPath{{}, *first, PathWeight(graph, *first, weight)});
-  }
-
-  std::vector<bool> removed_nodes(graph.node_count(), false);
-  std::set<std::pair<std::size_t, std::size_t>> removed_edges;
-
-  while (accepted.size() < k) {
-    const Path& previous = accepted.back().path;
-    // Each prefix of the last accepted path spawns a spur candidate.
-    for (std::size_t spur = 0; spur + 1 < previous.size(); ++spur) {
-      const Path root(previous.begin(),
-                      previous.begin() + static_cast<std::ptrdiff_t>(spur) + 1);
-
-      std::fill(removed_nodes.begin(), removed_nodes.end(), false);
-      removed_edges.clear();
-      // Remove edges used by already-accepted paths sharing this root.
-      for (const WeightedPath& wp : accepted) {
-        if (wp.path.size() > spur + 1 &&
-            std::equal(root.begin(), root.end(), wp.path.begin())) {
-          removed_edges.insert({wp.path[spur], wp.path[spur + 1]});
-        }
-      }
-      // Remove root nodes except the spur node (looplessness).
-      for (std::size_t i = 0; i < spur; ++i) removed_nodes[root[i]] = true;
-
-      DijkstraWorkspace workspace;
-      const MaskedWeight masked{&weight, &removed_nodes, &removed_edges};
-      workspace.Run(graph, root.back(), masked, target);
-      if (!workspace.Reached(target)) continue;
-      const Path spur_path = workspace.PathTo(target);
-
-      Path candidate = root;
-      candidate.insert(candidate.end(), spur_path.begin() + 1,
-                       spur_path.end());
-      const double w = PathWeight(graph, candidate, weight);
-      if (!std::isfinite(w)) continue;  // used a masked edge
-      candidates.insert(WeightedPath{{}, std::move(candidate), w});
-    }
-    if (candidates.empty()) break;
-    // Promote the best unseen candidate.
-    WeightedPath best = *candidates.begin();
-    candidates.erase(candidates.begin());
-    const bool duplicate =
-        std::any_of(accepted.begin(), accepted.end(),
-                    [&](const WeightedPath& wp) { return wp.path == best.path; });
-    if (!duplicate) accepted.push_back(std::move(best));
-  }
-  return accepted;
-}
 
 std::vector<WeightedPath> KShortestPaths(const RouteEngine& engine,
                                          std::size_t source,
@@ -173,7 +63,6 @@ std::vector<WeightedPath> KShortestPaths(const RouteEngine& engine,
       candidate.insert(candidate.end(), spur_path.begin() + 1,
                        spur_path.end());
       const double w = engine.PathWeight(candidate, alpha, base);
-      if (!std::isfinite(w)) continue;
       candidates.insert(WeightedPath{{}, std::move(candidate), w});
     }
     if (candidates.empty()) break;

@@ -1,4 +1,4 @@
-// Yen's k-shortest loopless paths over a RiskGraph.
+// Yen's k-shortest loopless paths over a frozen RouteEngine.
 //
 // Substrate for the multi-objective extension the paper sketches in
 // Section 6.4 ("the RiskRoute framework could easily be expanded to
@@ -13,33 +13,25 @@
 #include <vector>
 
 #include "core/path_metrics.h"
-#include "core/risk_graph.h"
 #include "core/route_engine.h"
-#include "core/shortest_path.h"
 
 namespace riskroute::core {
 
 /// One enumerated path with its weight under the enumeration objective,
-/// plus the shared PathMetrics. The engine variant fills miles and
-/// bit_risk_miles from the frozen planes; the EdgeWeightFn variant has no
-/// risk model, so there the PathMetrics base stays zero.
+/// plus the shared PathMetrics (miles and bit_risk_miles from the frozen
+/// planes).
 struct WeightedPath : PathMetrics {
   Path path;
   double weight = 0.0;
 };
 
 /// Yen's algorithm: up to `k` loopless paths from `source` to `target` in
-/// ascending weight order (fewer if the graph admits fewer). `weight` must
-/// be non-negative. Throws InvalidArgument on bad nodes or k == 0.
-[[nodiscard]] std::vector<WeightedPath> KShortestPaths(
-    const RiskGraph& graph, std::size_t source, std::size_t target,
-    std::size_t k, const EdgeWeightFn& weight);
-
-/// Engine variant under weight miles + alpha * score (alpha = 0 is the
-/// distance metric). Spur masking runs as EdgeOverlay removals/disables on
-/// the frozen CSR — no masked-weight callbacks. An optional `base` overlay
-/// (e.g. a failure scenario) applies to every search; spur masks layer on
-/// top of it.
+/// ascending order of weight miles + alpha * score (alpha = 0 is the
+/// distance metric; fewer paths if the graph admits fewer). Spur masking
+/// runs as EdgeOverlay removals/disables on the frozen CSR. An optional
+/// `base` overlay (e.g. a failure scenario) applies to every search; spur
+/// masks layer on top of it. Throws InvalidArgument on bad nodes or
+/// k == 0.
 [[nodiscard]] std::vector<WeightedPath> KShortestPaths(
     const RouteEngine& engine, std::size_t source, std::size_t target,
     std::size_t k, double alpha, const EdgeOverlay* base = nullptr);

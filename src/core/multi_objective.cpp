@@ -4,18 +4,13 @@
 #include <cmath>
 #include <limits>
 
-#include "core/riskroute.h"
 #include "util/error.h"
 
 namespace riskroute::core {
 
-MultiObjectiveRouter::MultiObjectiveRouter(const RiskGraph& graph,
-                                           const RiskParams& params,
+MultiObjectiveRouter::MultiObjectiveRouter(const RouteEngine& engine,
                                            std::size_t candidates_per_objective)
-    : graph_(graph),
-      params_(params),
-      engine_(graph, params),
-      k_(candidates_per_objective) {
+    : engine_(engine), k_(candidates_per_objective) {
   if (k_ == 0) {
     throw InvalidArgument("MultiObjectiveRouter: need at least one candidate");
   }
@@ -39,12 +34,9 @@ std::vector<RouteObjectives> MultiObjectiveRouter::Candidates(
         candidates.begin(), candidates.end(),
         [&](const RouteObjectives& r) { return r.path == wp.path; });
     if (duplicate) continue;
-    RouteObjectives route;
-    route.path = wp.path;
-    route.miles = engine_.PathMiles(wp.path);
-    route.latency_ms = MilesToLatencyMs(route.miles);
-    route.bit_risk_miles = engine_.PathBitRiskMiles(wp.path);
-    candidates.push_back(std::move(route));
+    // KShortestPaths already measured every path on the frozen planes.
+    candidates.push_back(RouteObjectives{
+        {wp.miles, wp.bit_risk_miles}, wp.path, MilesToLatencyMs(wp.miles)});
   }
   return candidates;
 }

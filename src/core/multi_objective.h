@@ -17,8 +17,7 @@
 
 #include "core/k_shortest.h"
 #include "core/path_metrics.h"
-#include "core/risk_graph.h"
-#include "core/risk_params.h"
+#include "core/route_engine.h"
 
 namespace riskroute::core {
 
@@ -39,13 +38,16 @@ struct RouteObjectives : PathMetrics {
   double latency_ms = 0.0;
 };
 
-/// Pareto-front router over (latency, bit-risk).
+/// Pareto-front router over (latency, bit-risk) on a frozen engine, which
+/// is held by reference and must outlive the router.
 class MultiObjectiveRouter {
  public:
   /// `candidates_per_objective` bounds the Yen enumeration under each
   /// objective; the front can hold at most the merged candidate count.
-  MultiObjectiveRouter(const RiskGraph& graph, const RiskParams& params,
-                       std::size_t candidates_per_objective = 8);
+  explicit MultiObjectiveRouter(const RouteEngine& engine,
+                                std::size_t candidates_per_objective = 8);
+  /// A temporary engine would dangle.
+  MultiObjectiveRouter(RouteEngine&&, std::size_t = 8) = delete;
 
   /// Nondominated candidates, ascending latency (therefore descending
   /// risk). Empty when the pair is disconnected.
@@ -63,15 +65,11 @@ class MultiObjectiveRouter {
   [[nodiscard]] std::optional<RouteObjectives> Scalarized(
       std::size_t i, std::size_t j, double risk_weight) const;
 
-  [[nodiscard]] const RiskGraph& graph() const { return graph_; }
-
  private:
   [[nodiscard]] std::vector<RouteObjectives> Candidates(std::size_t i,
                                                         std::size_t j) const;
 
-  const RiskGraph& graph_;
-  RiskParams params_;
-  RouteEngine engine_;  // frozen once; both Yen enumerations run on it
+  const RouteEngine& engine_;  // both Yen enumerations run on it
   std::size_t k_;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/route_engine.h"
 #include "util/error.h"
 
 namespace riskroute::core {
@@ -68,18 +67,18 @@ std::string RenderOspfConfig(const RiskGraph& graph,
   return out.str();
 }
 
-EdgeWeightFn CompositeWeight(const RiskGraph& graph,
-                             const OspfExportOptions& options) {
-  const double alpha = EffectiveAlpha(RouteEngine(graph, options.params), options);
-  const RiskParams params = options.params;
-  return [&graph, alpha, params](std::size_t from, const RiskEdge& edge) {
-    const auto score = [&](std::size_t v) {
-      const RiskNode& node = graph.node(v);
-      return params.lambda_historical * node.historical_risk +
-             params.lambda_forecast * node.forecast_risk;
-    };
-    return edge.miles + alpha * (score(from) + score(edge.to)) / 2.0;
-  };
+RouteEngine CompositeEngine(const RiskGraph& graph,
+                            const OspfExportOptions& options) {
+  RiskGraph composite;
+  for (const RiskNode& node : graph.nodes()) {
+    composite.AddNode(RiskNode{node.name, node.location});
+  }
+  std::vector<WeightedLink> links;
+  for (const OspfLinkCost& c : ComputeOspfCosts(graph, options)) {
+    links.push_back(WeightedLink{c.a, c.b, c.composite_weight});
+  }
+  composite.AddEdgesUnchecked(links);
+  return RouteEngine(composite, options.params);
 }
 
 }  // namespace riskroute::core

@@ -16,7 +16,7 @@
 
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
-#include "core/shortest_path.h"
+#include "core/route_engine.h"
 
 namespace riskroute::core {
 
@@ -49,9 +49,10 @@ struct OspfExportOptions {
 [[nodiscard]] std::string RenderOspfConfig(
     const RiskGraph& graph, const std::vector<OspfLinkCost>& costs);
 
-/// Edge-weight function reproducing the composite weight, so the effect of
-/// deploying the exported costs can be simulated on the same graph.
-[[nodiscard]] EdgeWeightFn CompositeWeight(const RiskGraph& graph,
-                                           const OspfExportOptions& options = {});
+/// The graph's topology frozen with every link's (unquantized) composite
+/// weight as its mileage and all-zero risk planes, so routing the engine
+/// at alpha 0 simulates deploying the exported costs on the same graph.
+[[nodiscard]] RouteEngine CompositeEngine(const RiskGraph& graph,
+                                          const OspfExportOptions& options = {});
 
 }  // namespace riskroute::core

@@ -1,9 +1,8 @@
 // PathMetrics: the shared per-path measurement every routing surface
-// reports. Result structs across the library (core::RouteResult,
-// core::RouteObjectives, core::WeightedPath) inherit it so callers read
-// the same two field names everywhere instead of per-module spellings
-// (`bit_miles`, `weight_miles`, ...). Aggregate objectives (Eq 4 sums)
-// use the same `bit_risk_miles` spelling for the summed quantity.
+// reports. Result structs across the library (core::RouteObjectives,
+// core::WeightedPath) inherit it so callers read the same two field names
+// everywhere. Aggregate objectives (Eq 4 sums) use the same
+// `bit_risk_miles` spelling for the summed quantity.
 #pragma once
 
 namespace riskroute::core {

@@ -58,7 +58,7 @@ struct EngineMetrics {
   }
 };
 
-/// Per-source accumulation for the ratio sweep (mirrors riskroute.cpp).
+/// Per-source accumulation for the ratio sweep.
 struct SourceSums {
   double risk_ratio_sum = 0.0;
   double distance_ratio_sum = 0.0;
@@ -121,8 +121,8 @@ RouteEngine::RouteEngine(const RiskGraph& graph, const RiskParams& params)
 }
 
 void RouteEngine::RebuildRiskPlane() {
-  // Same expression as RiskRouter::NodeScore / BitRiskWeight, so the
-  // precomputed plane is bitwise equal to the per-edge recomputation.
+  // Same expression as the Eq 1 per-edge weight, so the precomputed plane
+  // is bitwise equal to recomputing the node term at every relaxation.
   for (std::size_t v = 0; v < node_score_.size(); ++v) {
     node_score_[v] = params_.lambda_historical * historical_[v] +
                      params_.lambda_forecast * forecast_[v];

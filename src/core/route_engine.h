@@ -12,9 +12,10 @@
 // for the engine's RiskParams). A relaxation under pair scale alpha then
 // costs `miles[e] + alpha * risk[e]`; alpha = 0 is exactly the distance
 // metric. CSR rows preserve adjacency-list iteration order, so every
-// sweep is bitwise identical to the legacy DijkstraWorkspace loop over
-// the RiskGraph (same relaxation order, same heap evolution, same
-// distances, same parent chains).
+// sweep is bitwise identical to a textbook callback Dijkstra over the
+// RiskGraph (same relaxation order, same heap evolution, same distances,
+// same parent chains); tests/oracle/reference_routing.h keeps that loop
+// as the differential oracle.
 //
 // Forecast updates. SetForecastRisks/ClearForecastRisks rebuild the node
 // scores and the risk plane in place (O(N + E)) — the per-advisory path
@@ -59,13 +60,23 @@
 #include "core/path_metrics.h"
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
-#include "core/riskroute.h"
 #include "core/shortest_path.h"
 #include "geo/geo_point.h"
 #include "util/parse_result.h"
 #include "util/thread_pool.h"
 
 namespace riskroute::core {
+
+/// Aggregated Eq 5 / Eq 6 ratios over a pair population.
+struct RatioReport {
+  /// Eq 5: 1 - mean_{pairs} r(p_rr)/r(p_shortest). Positive = RiskRoute
+  /// reduces bit-risk miles versus shortest-path routing.
+  double risk_reduction_ratio = 0.0;
+  /// Eq 6: mean_{pairs} d(p_rr)/d(p_shortest) - 1. Positive = RiskRoute
+  /// pays extra mileage.
+  double distance_increase_ratio = 0.0;
+  std::size_t pair_count = 0;
+};
 
 /// Which weight plane a batched sweep relaxes under.
 enum class RouteMetric {
@@ -94,8 +105,7 @@ class RouteEngine {
   [[nodiscard]] std::size_t node_count() const { return node_score_.size(); }
   [[nodiscard]] const RiskParams& params() const { return params_; }
 
-  /// lambda_h * o_h(v) + lambda_f * o_f(v) — bitwise equal to
-  /// RiskRouter::NodeScore.
+  /// lambda_h * o_h(v) + lambda_f * o_f(v): the impact-unscaled node risk.
   [[nodiscard]] double NodeScore(std::size_t v) const {
     return node_score_[v];
   }
@@ -205,14 +215,14 @@ class RouteEngine {
 
   /// Dijkstra under weight miles + alpha * risk; stops early once
   /// `target` is settled. Results land in `ws` (DistanceTo / Reached /
-  /// PathTo), bitwise identical to DijkstraWorkspace::Run over the source
-  /// RiskGraph with the corresponding weight function.
+  /// PathTo), bitwise identical to a callback Dijkstra over the source
+  /// RiskGraph with the Eq 1 edge weight at this alpha.
   void Run(DijkstraWorkspace& ws, std::size_t source, double alpha,
            std::optional<std::size_t> target = std::nullopt,
            const EdgeOverlay* overlay = nullptr) const;
 
   /// Pure-distance Dijkstra (the miles plane only; bitwise identical to
-  /// Run with alpha = 0, and to DistanceWeight over the RiskGraph).
+  /// Run with alpha = 0).
   void RunDistance(DijkstraWorkspace& ws, std::size_t source,
                    std::optional<std::size_t> target = std::nullopt,
                    const EdgeOverlay* overlay = nullptr) const;
@@ -229,7 +239,7 @@ class RouteEngine {
       std::size_t source, std::size_t target, double alpha,
       const EdgeOverlay* overlay = nullptr) const;
 
-  // --- Path metrics (bitwise equal to the RiskRouter evaluators) ---
+  // --- Path metrics (Eq 1 folded hop by hop in path order) ---
 
   /// Sum over hops of miles + alpha * NodeScore(head); throws
   /// InvalidArgument on an empty path or a missing edge.
@@ -268,17 +278,21 @@ class RouteEngine {
                                     util::ThreadPool* pool = nullptr,
                                     const EdgeOverlay* overlay = nullptr) const;
 
-  // --- Aggregates (legacy-identical pair order and summation order) ---
+  // --- Aggregates (fixed pair order and summation order) ---
 
-  /// Eq 5 / Eq 6 ratios over ordered (source, target) pairs; same skip
-  /// rules and accumulation order as core::ComputeRatios.
+  /// Eq 5 / Eq 6 ratios over ordered (source, target) pairs
+  /// (source == target pairs are skipped; the paper's 1/N^2 normalization
+  /// over the diagonal contributes nothing and is dropped). Pairs where
+  /// either routing fails to connect are skipped. Supplying a thread pool
+  /// parallelizes over sources.
   [[nodiscard]] RatioReport ComputeRatios(
       std::span<const std::size_t> sources,
       std::span<const std::size_t> targets, util::ThreadPool* pool = nullptr,
       const EdgeOverlay* overlay = nullptr) const;
 
-  /// Eq 4 objective over unordered pairs (j > i), bitwise equal to
-  /// core::AggregateMinBitRisk. Without an overlay this runs the
+  /// Eq 4 objective: the sum over unordered pairs (j > i) of the minimum
+  /// bit-risk miles, bitwise equal to one targeted Dijkstra per pair
+  /// summed per source in index order. Without an overlay this runs the
   /// parametric row sweep (see ParametricRowSum) instead of one targeted
   /// Dijkstra per pair, which is several times faster on the Section 7
   /// topologies while producing the identical sum.
@@ -287,7 +301,8 @@ class RouteEngine {
       const EdgeOverlay* overlay = nullptr) const;
 
   /// Generalized Eq 4 over ordered (source, target) pairs with
-  /// source != target, bitwise equal to core::SumMinBitRisk.
+  /// source != target — the peering objective, whose pairs run from a
+  /// network's PoPs to all regional PoPs (paper Section 6.3).
   [[nodiscard]] double SumMinBitRisk(std::span<const std::size_t> sources,
                                      std::span<const std::size_t> targets,
                                      util::ThreadPool* pool = nullptr,

@@ -7,22 +7,6 @@
 
 namespace riskroute::core {
 
-void DijkstraWorkspace::Prepare(const RiskGraph& graph, std::size_t source,
-                                std::optional<std::size_t> target) {
-  const std::size_t n = graph.node_count();
-  if (source >= n) {
-    throw InvalidArgument(util::Format("Dijkstra source %zu out of range", source));
-  }
-  if (target && *target >= n) {
-    throw InvalidArgument(util::Format("Dijkstra target %zu out of range", *target));
-  }
-  source_ = source;
-  dist_.assign(n, Infinity());
-  parent_.assign(n, n);  // n = "no parent"
-  settled_.assign(n, false);
-  dist_[source] = 0.0;
-}
-
 double DijkstraWorkspace::DistanceTo(std::size_t node) const {
   if (node >= dist_.size()) {
     throw InvalidArgument(util::Format("DistanceTo: node %zu out of range", node));
@@ -49,16 +33,6 @@ Path DijkstraWorkspace::PathTo(std::size_t node) const {
   path.push_back(source_);
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::optional<Path> ShortestPathWith(const RiskGraph& graph, std::size_t source,
-                                 std::size_t target, const EdgeWeightFn& weight) {
-  // Pooled per-thread scratch: repeated convenience calls (examples, CLI,
-  // Yen's first path) stop paying a fresh workspace allocation each time.
-  thread_local DijkstraWorkspace workspace;
-  workspace.Run(graph, source, weight, target);
-  if (!workspace.Reached(target)) return std::nullopt;
-  return workspace.PathTo(target);
 }
 
 }  // namespace riskroute::core

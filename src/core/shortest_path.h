@@ -1,38 +1,23 @@
-// Dijkstra shortest path over a RiskGraph with a pluggable edge-weight
-// function (paper Section 6.4: minimizing bit-risk miles reduces to a
-// shortest-path problem on the risk graph).
+// Dijkstra scratch space for RouteEngine sweeps (paper Section 6.4:
+// minimizing bit-risk miles reduces to a shortest-path problem on the risk
+// graph).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <limits>
-#include <optional>
 #include <vector>
-
-#include "core/risk_graph.h"
 
 namespace riskroute::core {
 
 /// A path as a node index sequence (front = source, back = destination).
 using Path = std::vector<std::size_t>;
 
-/// Type-erased edge weight; the templated Run avoids the indirection in
-/// hot loops, this alias is for convenience call sites.
-using EdgeWeightFn =
-    std::function<double(std::size_t from, const RiskEdge& edge)>;
-
 /// Reusable Dijkstra scratch space. One instance per thread; reuse across
 /// calls to avoid re-allocating the distance/parent arrays for each of the
-/// O(N^2) per-pair searches the ratio analyses run.
+/// O(N^2) per-pair searches the ratio analyses run. RouteEngine::Run fills
+/// it; the accessors read the last sweep.
 class DijkstraWorkspace {
  public:
-  /// Single-source shortest path; if `target` is set, stops as soon as the
-  /// target is settled. `weight(from, edge)` must be non-negative.
-  template <typename WeightFn>
-  void Run(const RiskGraph& graph, std::size_t source, WeightFn&& weight,
-           std::optional<std::size_t> target = std::nullopt);
-
   [[nodiscard]] double DistanceTo(std::size_t node) const;
   [[nodiscard]] bool Reached(std::size_t node) const;
 
@@ -45,8 +30,7 @@ class DijkstraWorkspace {
   }
 
  private:
-  // RouteEngine drives the same scratch arrays from its frozen CSR planes,
-  // so engine sweeps and legacy sweeps share one workspace type.
+  // RouteEngine drives the scratch arrays from its frozen CSR planes.
   friend class RouteEngine;
 
   struct QueueEntry {
@@ -55,60 +39,11 @@ class DijkstraWorkspace {
     bool operator>(const QueueEntry& other) const { return dist > other.dist; }
   };
 
-  void Prepare(const RiskGraph& graph, std::size_t source,
-               std::optional<std::size_t> target);
-
   std::vector<double> dist_;
   std::vector<std::size_t> parent_;
   std::vector<bool> settled_;
   std::vector<QueueEntry> heap_;  // persistent min-heap buffer
   std::size_t source_ = 0;
 };
-
-template <typename WeightFn>
-void DijkstraWorkspace::Run(const RiskGraph& graph, std::size_t source,
-                            WeightFn&& weight,
-                            std::optional<std::size_t> target) {
-  Prepare(graph, source, target);
-  // The heap buffer persists across runs; push_heap/pop_heap with the same
-  // comparator evolve it exactly as the std::priority_queue this replaced,
-  // minus the per-call container allocation.
-  heap_.clear();
-  heap_.push_back(QueueEntry{0.0, source});
-  while (!heap_.empty()) {
-    const QueueEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-    if (settled_[top.node]) continue;
-    settled_[top.node] = true;
-    if (target && top.node == *target) return;
-    for (const RiskEdge& edge : graph.OutEdges(top.node)) {
-      if (settled_[edge.to]) continue;
-      const double candidate = dist_[top.node] + weight(top.node, edge);
-      if (candidate < dist_[edge.to]) {
-        dist_[edge.to] = candidate;
-        parent_[edge.to] = top.node;
-        heap_.push_back(QueueEntry{candidate, edge.to});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      }
-    }
-  }
-}
-
-/// Convenience single-shot shortest path under an arbitrary edge-weight
-/// callback; returns nullopt if unreachable. This is the slow path: each
-/// call walks adjacency lists through a type-erased std::function. Keep it
-/// only for weights the frozen planes cannot express (composite or
-/// stateful callbacks).
-[[nodiscard]] std::optional<Path> ShortestPathWith(const RiskGraph& graph,
-                                                   std::size_t source,
-                                                   std::size_t target,
-                                                   const EdgeWeightFn& weight);
-
-/// Pure-distance edge weight (bit-miles).
-[[nodiscard]] inline double DistanceWeight(std::size_t /*from*/,
-                                           const RiskEdge& edge) {
-  return edge.miles;
-}
 
 }  // namespace riskroute::core

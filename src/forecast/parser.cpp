@@ -219,8 +219,4 @@ util::ParseResult<Advisory> ParseAdvisoryResult(std::string_view text,
   return advisory;
 }
 
-Advisory ParseAdvisory(std::string_view text) {
-  return ParseAdvisoryResult(text).ValueOrThrow();
-}
-
 }  // namespace riskroute::forecast

@@ -10,7 +10,7 @@
 // it is hardened against hostile input: oversized bulletins, non-finite
 // numbers, out-of-range coordinates and impossible timestamps all surface
 // as structured ParseResult diagnostics (never UB or a foreign exception
-// type). ParseAdvisory is the legacy throwing shim.
+// type).
 #pragma once
 
 #include <cstddef>
@@ -38,9 +38,5 @@ struct AdvisoryLimits {
 /// but never produces a non-finite number or an invalid civil time.
 [[nodiscard]] util::ParseResult<Advisory> ParseAdvisoryResult(
     std::string_view text, const AdvisoryLimits& limits = {});
-
-/// Legacy shim over ParseAdvisoryResult: throws riskroute::ParseError
-/// with the rendered diagnostic on failure.
-[[nodiscard]] Advisory ParseAdvisory(std::string_view text);
 
 }  // namespace riskroute::forecast

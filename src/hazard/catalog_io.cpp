@@ -132,13 +132,9 @@ util::ParseResult<std::vector<Catalog>> ReadCatalogsCsvResult(
   return catalogs;
 }
 
-std::vector<Catalog> ReadCatalogsCsv(std::istream& in) {
-  return ReadCatalogsCsvResult(in).ValueOrThrow();
-}
-
 std::vector<Catalog> CatalogsFromCsv(const std::string& text) {
   std::istringstream is(text);
-  return ReadCatalogsCsv(is);
+  return ReadCatalogsCsvResult(is).ValueOrThrow();
 }
 
 }  // namespace riskroute::hazard

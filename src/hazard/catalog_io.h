@@ -10,8 +10,7 @@
 // One file may mix types; ReadCatalogs splits them back out. The reader
 // treats the stream as untrusted: malformed rows, unknown types, invalid
 // coordinates, out-of-range years/months and oversized inputs all yield
-// row-numbered ParseResult diagnostics (ReadCatalogsCsv is the legacy
-// throwing shim over ReadCatalogsCsvResult).
+// row-numbered ParseResult diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +44,8 @@ struct CatalogCsvLimits {
 [[nodiscard]] util::ParseResult<std::vector<Catalog>> ReadCatalogsCsvResult(
     std::istream& in, const CatalogCsvLimits& limits = {});
 
-/// Legacy shims: throw ParseError on malformed rows, unknown types, or
-/// invalid coordinates/months/years.
-[[nodiscard]] std::vector<Catalog> ReadCatalogsCsv(std::istream& in);
+/// Parses CSV text; throws ParseError with the rendered diagnostic on
+/// malformed rows, unknown types, or invalid coordinates/months/years.
 [[nodiscard]] std::vector<Catalog> CatalogsFromCsv(const std::string& text);
 
 }  // namespace riskroute::hazard

@@ -25,7 +25,8 @@ std::string CensusToCsv(const CensusModel& census) {
 }
 
 CensusModel ReadCensusCsv(std::istream& in) {
-  const std::vector<util::CsvRow> rows = util::ReadCsv(in);
+  const std::vector<util::CsvRow> rows =
+      util::ReadCsvResult(in).ValueOrThrow();
   if (rows.empty()) throw ParseError("census csv: empty input");
   const util::CsvRow expected_header = {"latitude", "longitude", "population",
                                         "state"};

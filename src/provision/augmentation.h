@@ -27,9 +27,6 @@ struct AugmentationStep {
   /// bit_risk_miles / original — the paper's Figure 10 y-axis
   /// ("fraction of original bit-risk miles").
   double fraction_of_original = 0.0;
-
-  /// Deprecated: pre-PathMetrics name; use bit_risk_miles.
-  [[nodiscard]] double objective() const { return bit_risk_miles; }
 };
 
 /// Full greedy augmentation result.
@@ -37,11 +34,6 @@ struct AugmentationResult {
   /// Eq 4 aggregate bit_risk_miles of the unaugmented network.
   double original_bit_risk_miles = 0.0;
   std::vector<AugmentationStep> steps;  // in greedy order (best first)
-
-  /// Deprecated: pre-PathMetrics name; use original_bit_risk_miles.
-  [[nodiscard]] double original_objective() const {
-    return original_bit_risk_miles;
-  }
 };
 
 /// Augmentation options.

@@ -178,14 +178,6 @@ ParseResult<std::vector<CsvRow>> ReadCsvResult(std::istream& in,
   return rows;
 }
 
-CsvRow ParseCsvLine(std::string_view line) {
-  return ParseCsvLineResult(line).ValueOrThrow();
-}
-
-std::vector<CsvRow> ReadCsv(std::istream& in) {
-  return ReadCsvResult(in).ValueOrThrow();
-}
-
 std::string EscapeCsvField(std::string_view field) {
   const bool needs_quotes =
       field.find_first_of(",\"\n\r") != std::string_view::npos;

@@ -3,12 +3,11 @@
 // tests to round-trip generated data sets.
 //
 // Supports RFC-4180-style quoting: "..." with embedded commas, doubled
-// quotes, and — in ReadCsv/ReadCsvResult — newlines inside quoted fields
-// (a quoted record continues across physical lines), so everything
+// quotes, and — in ReadCsvResult — newlines inside quoted fields (a
+// quoted record continues across physical lines), so everything
 // EscapeCsvField can write reads back losslessly. All readers enforce
 // the defensive limits in CsvLimits and report failures as structured
-// ParseResult diagnostics; the legacy ParseCsvLine/ReadCsv entry points
-// are thin shims that throw ParseError with the rendered diagnostic.
+// ParseResult diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -51,12 +50,6 @@ struct CsvLimits {
 /// rejects are counted under `ingest.csv.*`.
 [[nodiscard]] ParseResult<std::vector<CsvRow>> ReadCsvResult(
     std::istream& in, const CsvLimits& limits = {});
-
-/// Legacy shim over ParseCsvLineResult: throws ParseError on failure.
-[[nodiscard]] CsvRow ParseCsvLine(std::string_view line);
-
-/// Legacy shim over ReadCsvResult: throws ParseError on failure.
-[[nodiscard]] std::vector<CsvRow> ReadCsv(std::istream& in);
 
 /// Escapes a single field for CSV output (quotes it when needed).
 [[nodiscard]] std::string EscapeCsvField(std::string_view field);

@@ -8,10 +8,8 @@
 // hostile input must surface as a diagnostic, never as an uncaught
 // exception, signed-overflow UB, or an unbounded allocation.
 //
-// Call sites that predate this layer keep their throwing contract via
-// thin shims (ParseCsvLine, ParseAdvisory, ReadCatalogsCsv, ...) built on
-// ValueOrThrow(), which renders the diagnostic into the ParseError
-// message. New code should prefer the *Result entry points.
+// Call sites that want a throw call ValueOrThrow() on the result, which
+// renders the diagnostic into the ParseError message.
 //
 // Accepted/rejected record counts are exported through the PR-3 metrics
 // registry under `ingest.<source>.*` (see IngestCounter below); parsing

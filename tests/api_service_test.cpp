@@ -7,13 +7,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "api/service.h"
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
 #include "geo/geo_point.h"
 #include "provision/augmentation.h"
@@ -186,8 +186,10 @@ TEST(ApiServiceTest, RatiosMatchesIntradomainSweepBitwise) {
   const api::Service service = MakeService(graph, options);
 
   const api::RatiosResponse response = service.Ratios({});
+  std::vector<std::size_t> everyone(graph.node_count());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
   const core::RatioReport direct =
-      core::ComputeIntradomainRatios(graph, kParams, &pool);
+      core::RouteEngine(graph, kParams).ComputeRatios(everyone, everyone, &pool);
   EXPECT_EQ(response.pops, graph.node_count());
   EXPECT_DOUBLE_EQ(response.report.risk_reduction_ratio,
                    direct.risk_reduction_ratio);

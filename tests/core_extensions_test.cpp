@@ -10,8 +10,8 @@
 #include "core/k_shortest.h"
 #include "core/multi_objective.h"
 #include "core/ospf_export.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
+#include "tests/oracle/reference_routing.h"
 #include "util/error.h"
 
 namespace riskroute::core {
@@ -34,12 +34,13 @@ RiskGraph Diamond() {
   return graph;
 }
 
+/// The Diamond frozen for plain-distance routing (alpha = 0).
+RouteEngine DiamondEngine() { return RouteEngine(Diamond(), RiskParams{}); }
+
 // ---------- k shortest paths ----------
 
 TEST(KShortest, EnumeratesBothDiamondArms) {
-  const RiskGraph graph = Diamond();
-  const auto paths =
-      KShortestPaths(graph, 0, 3, 4, EdgeWeightFn(DistanceWeight));
+  const auto paths = KShortestPaths(DiamondEngine(), 0, 3, 4, 0.0);
   ASSERT_EQ(paths.size(), 2u);  // only two loopless 0->3 paths exist
   EXPECT_EQ(paths[0].path, (Path{0, 1, 3}));  // southern arm is shorter
   EXPECT_EQ(paths[1].path, (Path{0, 2, 3}));
@@ -47,9 +48,7 @@ TEST(KShortest, EnumeratesBothDiamondArms) {
 }
 
 TEST(KShortest, WeightsAscending) {
-  const RiskGraph graph = Diamond();
-  const auto paths =
-      KShortestPaths(graph, 0, 4, 10, EdgeWeightFn(DistanceWeight));
+  const auto paths = KShortestPaths(DiamondEngine(), 0, 4, 10, 0.0);
   ASSERT_GE(paths.size(), 2u);
   for (std::size_t i = 1; i < paths.size(); ++i) {
     EXPECT_GE(paths[i].weight, paths[i - 1].weight - 1e-9);
@@ -57,9 +56,7 @@ TEST(KShortest, WeightsAscending) {
 }
 
 TEST(KShortest, PathsAreLooplessAndUnique) {
-  const RiskGraph graph = Diamond();
-  const auto paths =
-      KShortestPaths(graph, 0, 4, 10, EdgeWeightFn(DistanceWeight));
+  const auto paths = KShortestPaths(DiamondEngine(), 0, 4, 10, 0.0);
   std::set<Path> seen;
   for (const WeightedPath& wp : paths) {
     EXPECT_TRUE(seen.insert(wp.path).second) << "duplicate path";
@@ -72,25 +69,22 @@ TEST(KShortest, PathsAreLooplessAndUnique) {
 
 TEST(KShortest, FirstPathMatchesDijkstra) {
   const RiskGraph graph = Diamond();
-  const auto paths =
-      KShortestPaths(graph, 0, 4, 1, EdgeWeightFn(DistanceWeight));
-  const auto direct = RouteEngine(graph, RiskParams{0, 0}).FindPath(0, 4, 0.0);
+  const RiskParams params{0, 0};
+  const auto paths = KShortestPaths(RouteEngine(graph, params), 0, 4, 1, 0.0);
+  oracle::Dijkstra reference;
+  reference.Run(graph, 0, oracle::BitRiskWeight{&graph, params, 0.0}, 4);
+  const Path direct = reference.PathTo(4);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].path, *direct);
+  EXPECT_EQ(paths[0].path, direct);
 }
 
 TEST(KShortest, SourceEqualsTargetAndValidation) {
-  const RiskGraph graph = Diamond();
-  const auto trivial =
-      KShortestPaths(graph, 2, 2, 3, EdgeWeightFn(DistanceWeight));
+  const RouteEngine engine = DiamondEngine();
+  const auto trivial = KShortestPaths(engine, 2, 2, 3, 0.0);
   ASSERT_EQ(trivial.size(), 1u);
   EXPECT_EQ(trivial[0].path, Path{2});
-  EXPECT_THROW(
-      (void)KShortestPaths(graph, 0, 4, 0, EdgeWeightFn(DistanceWeight)),
-      InvalidArgument);
-  EXPECT_THROW(
-      (void)KShortestPaths(graph, 0, 99, 2, EdgeWeightFn(DistanceWeight)),
-      InvalidArgument);
+  EXPECT_THROW((void)KShortestPaths(engine, 0, 4, 0, 0.0), InvalidArgument);
+  EXPECT_THROW((void)KShortestPaths(engine, 0, 99, 2, 0.0), InvalidArgument);
 }
 
 TEST(KShortest, DisconnectedReturnsEmpty) {
@@ -98,14 +92,14 @@ TEST(KShortest, DisconnectedReturnsEmpty) {
   graph.AddNode(RiskNode{"A", geo::GeoPoint(30, -90), 0.5, 0, 0});
   graph.AddNode(RiskNode{"B", geo::GeoPoint(40, -100), 0.5, 0, 0});
   EXPECT_TRUE(
-      KShortestPaths(graph, 0, 1, 3, EdgeWeightFn(DistanceWeight)).empty());
+      KShortestPaths(RouteEngine(graph, RiskParams{}), 0, 1, 3, 0.0).empty());
 }
 
 // ---------- multi-objective ----------
 
 TEST(MultiObjective, ParetoFrontEndpointsAreExtremes) {
-  const RiskGraph graph = Diamond();
-  const MultiObjectiveRouter router(graph, RiskParams{1e5, 0});
+  const RouteEngine engine(Diamond(), RiskParams{1e5, 0});
+  const MultiObjectiveRouter router(engine);
   const auto front = router.ParetoFront(0, 4);
   ASSERT_GE(front.size(), 2u);
   // Front is ascending latency, descending risk; every successive entry
@@ -115,13 +109,12 @@ TEST(MultiObjective, ParetoFrontEndpointsAreExtremes) {
     EXPECT_LT(front[i].bit_risk_miles, front[i - 1].bit_risk_miles);
   }
   // Fastest front entry == geographic shortest path.
-  const RiskRouter plain(graph, RiskParams{1e5, 0});
-  EXPECT_EQ(front.front().path, plain.ShortestRoute(0, 4)->path);
+  EXPECT_EQ(front.front().path, *engine.FindPath(0, 4, /*alpha=*/0.0));
 }
 
 TEST(MultiObjective, LatencyBudgetBinds) {
-  const RiskGraph graph = Diamond();
-  const MultiObjectiveRouter router(graph, RiskParams{1e5, 0});
+  const RouteEngine engine(Diamond(), RiskParams{1e5, 0});
+  const MultiObjectiveRouter router(engine);
   const auto front = router.ParetoFront(0, 4);
   ASSERT_GE(front.size(), 2u);
   // A budget below the safe detour's latency forces the fast risky path.
@@ -138,8 +131,8 @@ TEST(MultiObjective, LatencyBudgetBinds) {
 }
 
 TEST(MultiObjective, ScalarizationSweepsTheFront) {
-  const RiskGraph graph = Diamond();
-  const MultiObjectiveRouter router(graph, RiskParams{1e5, 0});
+  const RouteEngine engine(Diamond(), RiskParams{1e5, 0});
+  const MultiObjectiveRouter router(engine);
   const auto latency_pick = router.Scalarized(0, 4, 0.0);
   const auto risk_pick = router.Scalarized(0, 4, 1.0);
   ASSERT_TRUE(latency_pick && risk_pick);
@@ -157,8 +150,7 @@ TEST(MultiObjective, LatencyModelIsLinearInMiles) {
 
 TEST(BackupPaths, RoutingTableNextHopsConsistent) {
   const RiskGraph graph = Diamond();
-  const RoutingTable table =
-      BuildRoutingTable(graph, EdgeWeightFn(DistanceWeight));
+  const RoutingTable table = BuildRoutingTable(DiamondEngine(), 0.0);
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
     EXPECT_EQ(table.next_hop[s][s], s);
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
@@ -178,9 +170,9 @@ TEST(BackupPaths, RoutingTableNextHopsConsistent) {
 
 TEST(BackupPaths, LfaSatisfiesLoopFreeCondition) {
   const RiskGraph graph = Diamond();
-  const RoutingTable table =
-      BuildRoutingTable(graph, EdgeWeightFn(DistanceWeight));
-  const auto lfas = ComputeLfas(graph, table);
+  const RouteEngine engine = DiamondEngine();
+  const RoutingTable table = BuildRoutingTable(engine, 0.0);
+  const auto lfas = ComputeLfas(engine, table);
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
       if (d == s) continue;
@@ -195,25 +187,24 @@ TEST(BackupPaths, LfaSatisfiesLoopFreeCondition) {
 TEST(BackupPaths, DiamondSourceHasAlternateForMergePoint) {
   // From S, destination M: primary goes via one arm, the other arm's head
   // is a valid LFA.
-  const RiskGraph graph = Diamond();
-  const RoutingTable table =
-      BuildRoutingTable(graph, EdgeWeightFn(DistanceWeight));
-  const auto lfas = ComputeLfas(graph, table);
+  const RouteEngine engine = DiamondEngine();
+  const RoutingTable table = BuildRoutingTable(engine, 0.0);
+  const auto lfas = ComputeLfas(engine, table);
   EXPECT_FALSE(lfas[0][3].alternates.empty());
   EXPECT_GT(LfaCoverage(lfas), 0.0);
   EXPECT_LE(LfaCoverage(lfas), 1.0);
 }
 
 TEST(BackupPaths, LinkBypassAvoidsTheLink) {
-  const RiskGraph graph = Diamond();
-  const auto bypass = LinkBypass(graph, 0, 1, EdgeWeightFn(DistanceWeight));
+  const RouteEngine engine = DiamondEngine();
+  const auto bypass = LinkBypass(engine, 0, 1, 0.0);
   ASSERT_TRUE(bypass.has_value());
   // Must reach 1 without using edge (0,1) directly.
   EXPECT_EQ(bypass->front(), 0u);
   EXPECT_EQ(bypass->back(), 1u);
   ASSERT_GE(bypass->size(), 3u);
   EXPECT_NE((*bypass)[1], 1u);
-  EXPECT_THROW((void)LinkBypass(graph, 0, 4, EdgeWeightFn(DistanceWeight)),
+  EXPECT_THROW((void)LinkBypass(engine, 0, 4, 0.0),
                InvalidArgument);  // link does not exist
 }
 
@@ -223,25 +214,33 @@ TEST(BackupPaths, LinkBypassNulloptWhenCut) {
   graph.AddNode(RiskNode{"A", geo::GeoPoint(30, -95), 0.5, 0, 0});
   graph.AddNode(RiskNode{"B", geo::GeoPoint(31, -94), 0.5, 0, 0});
   graph.AddEdgeByDistance(0, 1);
-  EXPECT_FALSE(LinkBypass(graph, 0, 1, EdgeWeightFn(DistanceWeight)).has_value());
+  EXPECT_FALSE(
+      LinkBypass(RouteEngine(graph, RiskParams{}), 0, 1, 0.0).has_value());
 }
 
 TEST(BackupPaths, NodeBypassAvoidsProtectedNode) {
-  const RiskGraph graph = Diamond();
-  const auto bypass =
-      NodeBypass(graph, 0, 3, /*protect=*/1, EdgeWeightFn(DistanceWeight));
+  const RouteEngine engine = DiamondEngine();
+  const auto bypass = NodeBypass(engine, 0, 3, /*protect=*/1, 0.0);
   ASSERT_TRUE(bypass.has_value());
   for (const std::size_t v : *bypass) EXPECT_NE(v, 1u);
+  EXPECT_THROW((void)NodeBypass(engine, 0, 3, 0, 0.0), InvalidArgument);
+  // A protected node the engine does not have must not silently leave the
+  // path unprotected: on the line 0-1-2 the only route is 0 -> 1 -> 2.
+  RiskGraph line;
+  for (int i = 0; i < 3; ++i) {
+    line.AddNode(RiskNode{"p" + std::to_string(i),
+                          geo::GeoPoint(35.0, -100.0 + i), 1.0 / 3, 0, 0});
+  }
+  line.AddEdgeByDistance(0, 1);
+  line.AddEdgeByDistance(1, 2);
   EXPECT_THROW(
-      (void)NodeBypass(graph, 0, 3, 0, EdgeWeightFn(DistanceWeight)),
+      (void)NodeBypass(RouteEngine(line, RiskParams{}), 0, 2, 99, 0.0),
       InvalidArgument);
 }
 
 TEST(BackupPaths, NodeBypassNulloptWhenArticulation) {
   // Node 3 is the only way to 4; protecting it cuts T off.
-  const RiskGraph graph = Diamond();
-  EXPECT_FALSE(
-      NodeBypass(graph, 0, 4, 3, EdgeWeightFn(DistanceWeight)).has_value());
+  EXPECT_FALSE(NodeBypass(DiamondEngine(), 0, 4, 3, 0.0).has_value());
 }
 
 // ---------- ospf export ----------
@@ -305,8 +304,7 @@ TEST(OspfExport, CompositeWeightShiftsShortestPaths) {
   OspfExportOptions options;
   options.params = RiskParams{1e6, 0};
   options.alpha = 0.5;
-  const auto composite = CompositeWeight(graph, options);
-  const auto risk_path = ShortestPathWith(graph, 0, 3, composite);
+  const auto risk_path = CompositeEngine(graph, options).FindPath(0, 3, 0.0);
   ASSERT_TRUE(risk_path.has_value());
   EXPECT_EQ(*risk_path, (Path{0, 2, 3}));
   // Plain distance is a frozen-plane weight; the engine owns that query.

@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
-#include "core/shortest_path.h"
 #include "geo/distance.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -36,6 +36,32 @@ RiskGraph DetourGraph() {
   graph.AddEdgeByDistance(0, 2);
   graph.AddEdgeByDistance(2, 3);
   return graph;
+}
+
+/// Eq 5 / Eq 6 ratios with every PoP as both source and target.
+RatioReport IntradomainRatios(const RiskGraph& graph, const RiskParams& params,
+                              util::ThreadPool* pool = nullptr) {
+  std::vector<std::size_t> everyone(graph.node_count());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  return RouteEngine(graph, params).ComputeRatios(everyone, everyone, pool);
+}
+
+/// Eq 3 minimum bit-risk route and the geographic shortest path between
+/// one pair, both measured under the engine's Eq 1 metric.
+struct RoutePair {
+  PathMetrics risk_route;
+  PathMetrics shortest;
+  Path risk_path;
+  Path shortest_path;
+};
+
+RoutePair RouteBoth(const RouteEngine& engine, std::size_t i, std::size_t j) {
+  RoutePair routed;
+  routed.risk_path = *engine.FindPath(i, j, engine.Alpha(i, j));
+  routed.shortest_path = *engine.FindPath(i, j, /*alpha=*/0.0);
+  routed.risk_route = engine.Measure(routed.risk_path);
+  routed.shortest = engine.Measure(routed.shortest_path);
+  return routed;
 }
 
 TEST(RiskGraph, EdgeBookkeeping) {
@@ -148,9 +174,9 @@ TEST(Dijkstra, UnreachableReturnsNullopt) {
 }
 
 TEST(Dijkstra, SourceEqualsTarget) {
-  const RiskGraph graph = DetourGraph();
+  const RouteEngine engine(DetourGraph(), RiskParams{});
   DijkstraWorkspace ws;
-  ws.Run(graph, 2, DistanceWeight, 2);
+  engine.RunDistance(ws, 2, 2);
   EXPECT_TRUE(ws.Reached(2));
   EXPECT_DOUBLE_EQ(ws.DistanceTo(2), 0.0);
   EXPECT_EQ(ws.PathTo(2), Path{2});
@@ -158,8 +184,9 @@ TEST(Dijkstra, SourceEqualsTarget) {
 
 TEST(Dijkstra, DistancesAreMonotoneAlongParents) {
   const RiskGraph graph = DetourGraph();
+  const RouteEngine engine(graph, RiskParams{});
   DijkstraWorkspace ws;
-  ws.Run(graph, 0, DistanceWeight);
+  engine.RunDistance(ws, 0);
   for (std::size_t v = 0; v < graph.node_count(); ++v) {
     ASSERT_TRUE(ws.Reached(v));
     const Path path = ws.PathTo(v);
@@ -174,19 +201,19 @@ TEST(Dijkstra, DistancesAreMonotoneAlongParents) {
 }
 
 TEST(Dijkstra, Validation) {
-  const RiskGraph graph = DetourGraph();
+  const RouteEngine engine(DetourGraph(), RiskParams{});
   DijkstraWorkspace ws;
-  EXPECT_THROW(ws.Run(graph, 9, DistanceWeight), InvalidArgument);
-  ws.Run(graph, 0, DistanceWeight);
+  EXPECT_THROW(engine.RunDistance(ws, 9), InvalidArgument);
+  engine.RunDistance(ws, 0);
   EXPECT_THROW((void)ws.DistanceTo(99), InvalidArgument);
 }
 
-// ---------- RiskRouter / Eq 1 ----------
+// ---------- Eq 1 on the frozen engine ----------
 
 TEST(RiskRouter, PathBitRiskMilesMatchesEquationOne) {
   const RiskGraph graph = DetourGraph();
   const RiskParams params{1e4, 1e3};
-  const RiskRouter router(graph, params);
+  const RouteEngine engine(graph, params);
   const Path path = {0, 2, 3};  // through the risky node C
   const double alpha = 0.3 + 0.3;  // c_A + c_D
   double expected = 0.0;
@@ -198,62 +225,57 @@ TEST(RiskRouter, PathBitRiskMilesMatchesEquationOne) {
   expected += geo::GreatCircleMiles(graph.node(2).location,
                                     graph.node(3).location) +
               alpha * 1e4 * 0.0;
-  EXPECT_NEAR(router.PathBitRiskMiles(path), expected, 1e-9);
+  EXPECT_NEAR(engine.PathBitRiskMiles(path), expected, 1e-9);
 }
 
 TEST(RiskRouter, ForecastRiskEntersTheMetric) {
   RiskGraph graph = DetourGraph();
   const RiskParams params{0.0, 1e3};  // forecast-only
   graph.SetForecastRisks({0, 0, 50, 0});
-  const RiskRouter router(graph, params);
+  const RouteEngine engine(graph, params);
   const Path path = {0, 2, 3};
   const double alpha = 0.6;
-  const double miles = router.PathMiles(path);
-  EXPECT_NEAR(router.PathBitRiskMiles(path), miles + alpha * 1e3 * 50, 1e-9);
+  const double miles = engine.PathMiles(path);
+  EXPECT_NEAR(engine.PathBitRiskMiles(path), miles + alpha * 1e3 * 50, 1e-9);
 }
 
 TEST(RiskRouter, RejectsNegativeLambdas) {
   const RiskGraph graph = DetourGraph();
-  EXPECT_THROW(RiskRouter(graph, RiskParams{-1, 0}), InvalidArgument);
+  EXPECT_THROW(RouteEngine(graph, RiskParams{-1, 0}), InvalidArgument);
+  EXPECT_THROW(RouteEngine(graph, RiskParams{0, -1}), InvalidArgument);
 }
 
 TEST(RiskRouter, PathValidation) {
-  const RiskGraph graph = DetourGraph();
-  const RiskRouter router(graph, RiskParams{});
-  EXPECT_THROW((void)router.PathBitRiskMiles({}), InvalidArgument);
-  EXPECT_THROW((void)router.PathBitRiskMiles({0, 3}), InvalidArgument);
-  EXPECT_THROW((void)router.PathMiles({0, 3}), InvalidArgument);
+  const RouteEngine engine(DetourGraph(), RiskParams{});
+  EXPECT_THROW((void)engine.PathBitRiskMiles({}), InvalidArgument);
+  EXPECT_THROW((void)engine.PathBitRiskMiles({0, 3}), InvalidArgument);
+  EXPECT_THROW((void)engine.PathMiles({0, 3}), InvalidArgument);
 }
 
 TEST(RiskRouter, AvoidsRiskWhenLambdaLarge) {
   const RiskGraph graph = DetourGraph();
   // Small lambda: geographic shortest (through C, the southern node, or B
   // — whichever is shorter) wins; large lambda: the safe B detour wins.
-  const RiskRouter timid(graph, RiskParams{1e5, 0});
-  const auto route = timid.MinRiskRoute(0, 3);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->path, (Path{0, 1, 3}));  // through safe B
+  const RouteEngine timid(graph, RiskParams{1e5, 0});
+  EXPECT_EQ(RouteBoth(timid, 0, 3).risk_path, (Path{0, 1, 3}));  // safe B
 
-  const RiskRouter neutral(graph, RiskParams{0, 0});
-  const auto direct = neutral.MinRiskRoute(0, 3);
-  ASSERT_TRUE(direct.has_value());
   // With zero lambdas the min bit-risk route IS the shortest route.
-  const auto shortest = neutral.ShortestRoute(0, 3);
-  EXPECT_EQ(direct->path, shortest->path);
+  const RoutePair neutral =
+      RouteBoth(RouteEngine(graph, RiskParams{0, 0}), 0, 3);
+  EXPECT_EQ(neutral.risk_path, neutral.shortest_path);
 }
 
 TEST(RiskRouter, MinRiskNeverExceedsShortestBitRisk) {
   const RiskGraph graph = DetourGraph();
   for (const double lambda : {0.0, 1e2, 1e4, 1e6}) {
-    const RiskRouter router(graph, RiskParams{lambda, 0});
+    const RouteEngine engine(graph, RiskParams{lambda, 0});
     for (std::size_t i = 0; i < graph.node_count(); ++i) {
       for (std::size_t j = 0; j < graph.node_count(); ++j) {
         if (i == j) continue;
-        const auto rr = router.MinRiskRoute(i, j);
-        const auto sp = router.ShortestRoute(i, j);
-        ASSERT_TRUE(rr && sp);
-        EXPECT_LE(rr->bit_risk_miles, sp->bit_risk_miles + 1e-9);
-        EXPECT_GE(rr->miles, sp->miles - 1e-9);
+        const RoutePair routed = RouteBoth(engine, i, j);
+        EXPECT_LE(routed.risk_route.bit_risk_miles,
+                  routed.shortest.bit_risk_miles + 1e-9);
+        EXPECT_GE(routed.risk_route.miles, routed.shortest.miles - 1e-9);
       }
     }
   }
@@ -263,7 +285,7 @@ TEST(RiskRouter, MinRiskNeverExceedsShortestBitRisk) {
 
 TEST(Ratios, ZeroLambdaGivesZeroRatios) {
   const RiskGraph graph = DetourGraph();
-  const RatioReport report = ComputeIntradomainRatios(graph, RiskParams{0, 0});
+  const RatioReport report = IntradomainRatios(graph, RiskParams{0, 0});
   EXPECT_NEAR(report.risk_reduction_ratio, 0.0, 1e-12);
   EXPECT_NEAR(report.distance_increase_ratio, 0.0, 1e-12);
   EXPECT_EQ(report.pair_count, 12u);  // 4*3 ordered pairs
@@ -273,7 +295,7 @@ TEST(Ratios, RatiosNonNegativeAndBounded) {
   const RiskGraph graph = DetourGraph();
   for (const double lambda : {1e2, 1e4, 1e6}) {
     const RatioReport report =
-        ComputeIntradomainRatios(graph, RiskParams{lambda, 0});
+        IntradomainRatios(graph, RiskParams{lambda, 0});
     EXPECT_GE(report.risk_reduction_ratio, -1e-12);
     EXPECT_LT(report.risk_reduction_ratio, 1.0);
     EXPECT_GE(report.distance_increase_ratio, -1e-12);
@@ -285,7 +307,7 @@ TEST(Ratios, MonotoneNondecreasingInLambdaOnDetourGraph) {
   double previous_rr = -1.0;
   for (const double lambda : {1e1, 1e2, 1e3, 1e4, 1e5, 1e6}) {
     const RatioReport report =
-        ComputeIntradomainRatios(graph, RiskParams{lambda, 0});
+        IntradomainRatios(graph, RiskParams{lambda, 0});
     EXPECT_GE(report.risk_reduction_ratio, previous_rr - 1e-9)
         << "lambda " << lambda;
     previous_rr = report.risk_reduction_ratio;
@@ -296,8 +318,8 @@ TEST(Ratios, ParallelMatchesSequential) {
   const RiskGraph graph = DetourGraph();
   util::ThreadPool pool(4);
   const RiskParams params{1e4, 0};
-  const RatioReport seq = ComputeIntradomainRatios(graph, params, nullptr);
-  const RatioReport par = ComputeIntradomainRatios(graph, params, &pool);
+  const RatioReport seq = IntradomainRatios(graph, params, nullptr);
+  const RatioReport par = IntradomainRatios(graph, params, &pool);
   EXPECT_DOUBLE_EQ(seq.risk_reduction_ratio, par.risk_reduction_ratio);
   EXPECT_DOUBLE_EQ(seq.distance_increase_ratio, par.distance_increase_ratio);
   EXPECT_EQ(seq.pair_count, par.pair_count);
@@ -305,15 +327,17 @@ TEST(Ratios, ParallelMatchesSequential) {
 
 TEST(Ratios, SourceTargetSubsets) {
   const RiskGraph graph = DetourGraph();
+  const std::vector<std::size_t> sources{0};
+  const std::vector<std::size_t> targets{3};
   const RatioReport report =
-      ComputeRatios(graph, RiskParams{1e4, 0}, {0}, {3});
+      RouteEngine(graph, RiskParams{1e4, 0}).ComputeRatios(sources, targets);
   EXPECT_EQ(report.pair_count, 1u);
 }
 
 TEST(Ratios, DisconnectedPairsSkipped) {
   RiskGraph graph = DetourGraph();
   graph.AddNode(RiskNode{"island", geo::GeoPoint(45, -70), 0.1, 0, 0});
-  const RatioReport report = ComputeIntradomainRatios(graph, RiskParams{1e4, 0});
+  const RatioReport report = IntradomainRatios(graph, RiskParams{1e4, 0});
   EXPECT_EQ(report.pair_count, 12u);  // island contributes nothing
 }
 
@@ -321,33 +345,33 @@ TEST(Ratios, DisconnectedPairsSkipped) {
 
 TEST(Aggregate, SumMinBitRiskMatchesManualSum) {
   const RiskGraph graph = DetourGraph();
-  const RiskParams params{1e4, 0};
-  const RiskRouter router(graph, params);
+  const RouteEngine engine(graph, RiskParams{1e4, 0});
   double expected = 0.0;
   for (std::size_t i = 0; i < graph.node_count(); ++i) {
     for (std::size_t j = i + 1; j < graph.node_count(); ++j) {
-      expected += router.MinRiskRoute(i, j)->bit_risk_miles;
+      expected += RouteBoth(engine, i, j).risk_route.bit_risk_miles;
     }
   }
-  EXPECT_NEAR(AggregateMinBitRisk(graph, params), expected, 1e-9);
+  EXPECT_NEAR(engine.AggregateMinBitRisk(), expected, 1e-9);
 }
 
 TEST(Aggregate, AddingAnEdgeNeverIncreasesObjective) {
   RiskGraph graph = DetourGraph();
   const RiskParams params{1e4, 0};
-  const double before = AggregateMinBitRisk(graph, params);
+  const double before = RouteEngine(graph, params).AggregateMinBitRisk();
   graph.AddEdgeByDistance(0, 3);
-  const double after = AggregateMinBitRisk(graph, params);
+  const double after = RouteEngine(graph, params).AggregateMinBitRisk();
   EXPECT_LE(after, before + 1e-9);
 }
 
 TEST(Aggregate, SumMinBitRiskOverSubsets) {
   const RiskGraph graph = DetourGraph();
-  const RiskParams params{1e4, 0};
-  const RiskRouter router(graph, params);
-  const double got = SumMinBitRisk(graph, params, {0, 1}, {3});
-  const double expected = router.MinRiskRoute(0, 3)->bit_risk_miles +
-                          router.MinRiskRoute(1, 3)->bit_risk_miles;
+  const RouteEngine engine(graph, RiskParams{1e4, 0});
+  const std::vector<std::size_t> sources{0, 1};
+  const std::vector<std::size_t> targets{3};
+  const double got = engine.SumMinBitRisk(sources, targets);
+  const double expected = RouteBoth(engine, 0, 3).risk_route.bit_risk_miles +
+                          RouteBoth(engine, 1, 3).risk_route.bit_risk_miles;
   EXPECT_NEAR(got, expected, 1e-9);
 }
 
@@ -357,15 +381,13 @@ class LambdaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LambdaSweep, RiskRouteDominatesShortestPathInBitRisk) {
   const double lambda = GetParam();
-  const RiskGraph graph = DetourGraph();
-  const RiskRouter router(graph, RiskParams{lambda, 0});
-  for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    for (std::size_t j = 0; j < graph.node_count(); ++j) {
+  const RouteEngine engine(DetourGraph(), RiskParams{lambda, 0});
+  for (std::size_t i = 0; i < engine.node_count(); ++i) {
+    for (std::size_t j = 0; j < engine.node_count(); ++j) {
       if (i == j) continue;
-      const auto rr = router.MinRiskRoute(i, j);
-      const auto sp = router.ShortestRoute(i, j);
-      ASSERT_TRUE(rr && sp);
-      EXPECT_LE(rr->bit_risk_miles, sp->bit_risk_miles + 1e-9);
+      const RoutePair routed = RouteBoth(engine, i, j);
+      EXPECT_LE(routed.risk_route.bit_risk_miles,
+                routed.shortest.bit_risk_miles + 1e-9);
     }
   }
 }

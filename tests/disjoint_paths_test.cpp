@@ -6,15 +6,17 @@
 #include <set>
 
 #include "core/disjoint_paths.h"
-#include "core/shortest_path.h"
+#include "tests/oracle/reference_routing.h"
 #include "util/rng.h"
 
 namespace riskroute::core {
 namespace {
 
-RiskGraph MakeGraph(std::size_t n, const std::vector<std::pair<int, int>>& edges) {
+/// Nodes on a diagonal, joined by great-circle links; frozen for
+/// plain-distance routing (alpha = 0).
+RouteEngine MakeEngine(std::size_t n,
+                       const std::vector<std::pair<int, int>>& edges) {
   RiskGraph graph;
-  util::Rng rng(1);
   for (std::size_t i = 0; i < n; ++i) {
     graph.AddNode(RiskNode{"n" + std::to_string(i),
                            geo::GeoPoint(30.0 + static_cast<double>(i),
@@ -25,7 +27,7 @@ RiskGraph MakeGraph(std::size_t n, const std::vector<std::pair<int, int>>& edges
     graph.AddEdgeByDistance(static_cast<std::size_t>(a),
                             static_cast<std::size_t>(b));
   }
-  return graph;
+  return RouteEngine(graph, RiskParams{});
 }
 
 bool NodeDisjointInterior(const Path& a, const Path& b) {
@@ -51,8 +53,8 @@ bool EdgeDisjoint(const Path& a, const Path& b) {
 
 TEST(DisjointPaths, DiamondYieldsBothArms) {
   // 0-1-3 and 0-2-3.
-  const RiskGraph graph = MakeGraph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  const auto pair = FindDisjointPair(graph, 0, 3, EdgeWeightFn(DistanceWeight));
+  const RouteEngine engine = MakeEngine(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
+  const auto pair = FindDisjointPair(engine, 0, 3, 0.0);
   ASSERT_TRUE(pair.has_value());
   EXPECT_TRUE(NodeDisjointInterior(pair->first, pair->second));
   EXPECT_TRUE(EdgeDisjoint(pair->first, pair->second));
@@ -64,23 +66,21 @@ TEST(DisjointPaths, DiamondYieldsBothArms) {
 
 TEST(DisjointPaths, BridgeGraphHasNoPair) {
   // 0-1-2: single chain, no two disjoint paths.
-  const RiskGraph graph = MakeGraph(3, {{0, 1}, {1, 2}});
-  EXPECT_FALSE(FindDisjointPair(graph, 0, 2, EdgeWeightFn(DistanceWeight))
-                   .has_value());
+  const RouteEngine engine = MakeEngine(3, {{0, 1}, {1, 2}});
+  EXPECT_FALSE(FindDisjointPair(engine, 0, 2, 0.0).has_value());
 }
 
 TEST(DisjointPaths, SharedNodeRequiresNodeSplit) {
   // Two edge-disjoint paths exist only through shared node 2:
   //   0-1-2-3-5  and  0-4-2-6-5 (both pass node 2).
-  const RiskGraph graph = MakeGraph(
+  const RouteEngine engine = MakeEngine(
       7, {{0, 1}, {1, 2}, {2, 3}, {3, 5}, {0, 4}, {4, 2}, {2, 6}, {6, 5}});
-  const auto edge_pair = FindDisjointPair(
-      graph, 0, 5, EdgeWeightFn(DistanceWeight), Disjointness::kEdgeDisjoint);
+  const auto edge_pair =
+      FindDisjointPair(engine, 0, 5, 0.0, Disjointness::kEdgeDisjoint);
   ASSERT_TRUE(edge_pair.has_value());
   EXPECT_TRUE(EdgeDisjoint(edge_pair->first, edge_pair->second));
   // Node-disjoint is impossible: node 2 is an articulation point.
-  EXPECT_FALSE(FindDisjointPair(graph, 0, 5, EdgeWeightFn(DistanceWeight),
-                                Disjointness::kNodeDisjoint)
+  EXPECT_FALSE(FindDisjointPair(engine, 0, 5, 0.0, Disjointness::kNodeDisjoint)
                    .has_value());
 }
 
@@ -90,9 +90,9 @@ TEST(DisjointPaths, SuurballeBeatsGreedyTwoStep) {
   // joint optimization must find the true minimum pair. Trapezoid:
   //   0-1 cheap, 1-3 cheap (shortest path 0-1-3 uses both "bridging" arcs)
   //   0-2, 2-3, 1-2 arranged so the optimal pair is {0-1-2?-3...}.
-  const RiskGraph graph =
-      MakeGraph(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {1, 2}});
-  const auto pair = FindDisjointPair(graph, 0, 3, EdgeWeightFn(DistanceWeight));
+  const RouteEngine engine =
+      MakeEngine(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}, {1, 2}});
+  const auto pair = FindDisjointPair(engine, 0, 3, 0.0);
   ASSERT_TRUE(pair.has_value());
   EXPECT_TRUE(NodeDisjointInterior(pair->first, pair->second));
   // The pair must be {0,1,3} and {0,2,3} (the only node-disjoint pair).
@@ -102,40 +102,15 @@ TEST(DisjointPaths, SuurballeBeatsGreedyTwoStep) {
 }
 
 TEST(DisjointPaths, Validation) {
-  const RiskGraph graph = MakeGraph(3, {{0, 1}, {1, 2}});
-  EXPECT_THROW(
-      (void)FindDisjointPair(graph, 0, 0, EdgeWeightFn(DistanceWeight)),
-      InvalidArgument);
-  EXPECT_THROW(
-      (void)FindDisjointPair(graph, 0, 9, EdgeWeightFn(DistanceWeight)),
-      InvalidArgument);
+  const RouteEngine engine = MakeEngine(3, {{0, 1}, {1, 2}});
+  EXPECT_THROW((void)FindDisjointPair(engine, 0, 0, 0.0), InvalidArgument);
+  EXPECT_THROW((void)FindDisjointPair(engine, 0, 9, 0.0), InvalidArgument);
 }
 
-/// Brute force: enumerate all loopless paths, test all pairs.
-void AllPaths(const RiskGraph& graph, std::size_t node, std::size_t dst,
-              Path& current, std::vector<bool>& visited, std::vector<Path>& out) {
-  if (node == dst) {
-    out.push_back(current);
-    return;
-  }
-  for (const RiskEdge& e : graph.OutEdges(node)) {
-    if (visited[e.to]) continue;
-    visited[e.to] = true;
-    current.push_back(e.to);
-    AllPaths(graph, e.to, dst, current, visited, out);
-    current.pop_back();
-    visited[e.to] = false;
-  }
-}
-
+/// Plain mileage of a path: the Eq 1 fold at alpha = 0.
 double WeightOf(const RiskGraph& graph, const Path& path) {
-  double total = 0.0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    for (const RiskEdge& e : graph.OutEdges(path[i - 1])) {
-      if (e.to == path[i]) total += e.miles;
-    }
-  }
-  return total;
+  return oracle::PathWeight(graph, path,
+                            oracle::BitRiskWeight{&graph, RiskParams{}, 0.0});
 }
 
 class DisjointRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -160,11 +135,8 @@ TEST_P(DisjointRandomSweep, MatchesBruteForceOptimum) {
     }
   }
 
-  std::vector<Path> all;
-  Path current{0};
-  std::vector<bool> visited(n, false);
-  visited[0] = true;
-  AllPaths(graph, 0, n - 1, current, visited, all);
+  // Brute force: enumerate all loopless paths, test all pairs.
+  const std::vector<Path> all = oracle::LooplessPaths(graph, 0, n - 1);
 
   for (const Disjointness mode :
        {Disjointness::kEdgeDisjoint, Disjointness::kNodeDisjoint}) {
@@ -182,7 +154,7 @@ TEST_P(DisjointRandomSweep, MatchesBruteForceOptimum) {
       }
     }
     const auto pair =
-        FindDisjointPair(graph, 0, n - 1, EdgeWeightFn(DistanceWeight), mode);
+        FindDisjointPair(RouteEngine(graph, RiskParams{}), 0, n - 1, 0.0, mode);
     if (best == std::numeric_limits<double>::infinity()) {
       EXPECT_FALSE(pair.has_value());
     } else {

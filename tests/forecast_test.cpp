@@ -100,7 +100,8 @@ TEST(Writer, EmitsPaperQuotedPhrases) {
 
 TEST(Parser, RoundTripRecoversAllFields) {
   const Advisory original = SampleAdvisory();
-  const Advisory parsed = ParseAdvisory(RenderAdvisory(original));
+  const Advisory parsed =
+      ParseAdvisoryResult(RenderAdvisory(original)).ValueOrThrow();
   EXPECT_EQ(parsed.storm_name, original.storm_name);
   EXPECT_EQ(parsed.number, original.number);
   EXPECT_EQ(parsed.time, original.time);
@@ -120,7 +121,8 @@ TEST(Parser, TropicalStormStage) {
   ts.storm_name = "SANDY";
   ts.max_wind_mph = 60;
   ts.hurricane_wind_radius_miles = 0;
-  const Advisory parsed = ParseAdvisory(RenderAdvisory(ts));
+  const Advisory parsed =
+      ParseAdvisoryResult(RenderAdvisory(ts)).ValueOrThrow();
   EXPECT_EQ(parsed.storm_name, "SANDY");
   EXPECT_FALSE(parsed.IsHurricane());
   EXPECT_DOUBLE_EQ(parsed.hurricane_wind_radius_miles, 0.0);
@@ -137,7 +139,7 @@ TEST(Parser, ParsesPaperExcerptFragment) {
       "NORTH-NORTHEAST NEAR 15 MPH...HURRICANE-FORCE WINDS EXTEND OUTWARD "
       "UP TO 90 MILES...150 KM...FROM THE CENTER...AND TROPICAL-STORM-FORCE "
       "WINDS EXTEND OUTWARD UP TO 260 MILES...415 KM...";
-  const Advisory parsed = ParseAdvisory(text);
+  const Advisory parsed = ParseAdvisoryResult(text).ValueOrThrow();
   EXPECT_EQ(parsed.storm_name, "IRENE");
   EXPECT_NEAR(parsed.center.latitude(), 35.2, 1e-9);
   EXPECT_NEAR(parsed.center.longitude(), -76.4, 1e-9);
@@ -151,20 +153,25 @@ TEST(Parser, SouthernAndEasternHemispheres) {
       "HURRICANE TEST ADVISORY NUMBER 2\n"
       "...LOCATED NEAR LATITUDE 12.5 SOUTH...LONGITUDE 130.8 EAST...\n"
       "TROPICAL-STORM-FORCE WINDS EXTEND OUTWARD UP TO 100 MILES...\n";
-  const Advisory parsed = ParseAdvisory(text);
+  const Advisory parsed = ParseAdvisoryResult(text).ValueOrThrow();
   EXPECT_NEAR(parsed.center.latitude(), -12.5, 1e-9);
   EXPECT_NEAR(parsed.center.longitude(), 130.8, 1e-9);
 }
 
 TEST(Parser, MissingFieldsThrow) {
-  EXPECT_THROW((void)ParseAdvisory("no storm content at all"), ParseError);
-  EXPECT_THROW(
-      (void)ParseAdvisory("HURRICANE X ADVISORY NUMBER 1 LATITUDE 30.0 NORTH"),
-      ParseError);  // no longitude, no radii
-  EXPECT_THROW((void)ParseAdvisory(
-                   "HURRICANE X ADVISORY NUMBER 1 "
-                   "LATITUDE 30.0 NORTH LONGITUDE 90.0 WEST"),
-               ParseError);  // no tropical radius
+  for (const char* text :
+       {"no storm content at all",
+        // no longitude, no radii
+        "HURRICANE X ADVISORY NUMBER 1 LATITUDE 30.0 NORTH",
+        // no tropical radius
+        "HURRICANE X ADVISORY NUMBER 1 "
+        "LATITUDE 30.0 NORTH LONGITUDE 90.0 WEST"}) {
+    const auto result = ParseAdvisoryResult(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.error().kind, util::ParseErrorKind::kMissingField)
+        << text;
+    EXPECT_THROW((void)ParseAdvisoryResult(text).ValueOrThrow(), ParseError);
+  }
 }
 
 // ---------- tracks ----------
@@ -230,7 +237,7 @@ TEST(Tracks, GeneratedTextsParseBack) {
     const auto texts = GenerateAdvisoryTexts(*track);
     ASSERT_EQ(texts.size(), advisories.size());
     for (std::size_t i = 0; i < texts.size(); i += 7) {
-      const Advisory parsed = ParseAdvisory(texts[i]);
+      const Advisory parsed = ParseAdvisoryResult(texts[i]).ValueOrThrow();
       EXPECT_EQ(parsed.storm_name, track->name);
       EXPECT_NEAR(parsed.center.latitude(), advisories[i].center.latitude(),
                   0.051);

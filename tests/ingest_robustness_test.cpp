@@ -161,11 +161,19 @@ TEST(CsvDiagnostics, LimitsBoundRowsFieldsAndBytes) {
 
 TEST(CsvDiagnostics, LegacyShimKeepsThrowingContract) {
   // The one-record parser still maps "" to a single empty field (callers
-  // depend on column counts), and failures still arrive as ParseError.
-  EXPECT_EQ(util::ParseCsvLine(""), (CsvRow{""}));
-  EXPECT_THROW((void)util::ParseCsvLine("\"open"), ParseError);
+  // depend on column counts); failures are kBadSyntax diagnostics, and
+  // ValueOrThrow turns them into ParseError for callers that want a throw.
+  EXPECT_EQ(util::ParseCsvLineResult("").value(), (CsvRow{""}));
+  const auto line = util::ParseCsvLineResult("\"open");
+  ASSERT_FALSE(line.ok());
+  EXPECT_EQ(line.error().kind, ParseErrorKind::kBadSyntax);
+  EXPECT_THROW((void)line.ValueOrThrow(), ParseError);
   std::istringstream in("a,\"open\n");
-  EXPECT_THROW((void)util::ReadCsv(in), ParseError);
+  const auto rows = util::ReadCsvResult(in);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.error().kind, ParseErrorKind::kBadSyntax);
+  EXPECT_EQ(rows.error().line, 1u);
+  EXPECT_THROW((void)rows.ValueOrThrow(), ParseError);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,7 +322,7 @@ TEST(AdvisoryParser, AbsurdLatitudeIsBadValueNotForeignException) {
   const auto result = forecast::ParseAdvisoryResult(text);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().kind, ParseErrorKind::kBadValue);
-  EXPECT_THROW((void)forecast::ParseAdvisory(text), ParseError);
+  EXPECT_THROW((void)result.ValueOrThrow(), ParseError);
 }
 
 TEST(AdvisoryParser, ImplausibleNumbersAreIgnoredNotStored) {

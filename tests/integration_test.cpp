@@ -3,7 +3,9 @@
 // qualitative results must hold on it.
 #include <gtest/gtest.h>
 
-#include "core/riskroute.h"
+#include <numeric>
+#include <vector>
+
 #include "core/route_engine.h"
 #include "core/study.h"
 #include "forecast/forecast_risk.h"
@@ -14,6 +16,14 @@
 
 namespace riskroute::core {
 namespace {
+
+/// Eq 5 / Eq 6 ratios with every frozen PoP as both source and target.
+RatioReport IntradomainRatios(const RouteEngine& engine,
+                              util::ThreadPool* pool) {
+  std::vector<std::size_t> everyone(engine.node_count());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  return engine.ComputeRatios(everyone, everyone, pool);
+}
 
 /// Shared, lazily built study with a reduced census (assembly cost is
 /// dominated by the 215,932-block census; 30k blocks preserve structure).
@@ -68,9 +78,8 @@ TEST(Integration, RiskRouteBeatsShortestPathInBitRiskEverywhere) {
   const Study& study = SharedStudy();
   util::ThreadPool pool;
   for (const char* name : {"Deutsche", "NTT", "Teliasonera"}) {
-    const RiskGraph graph = study.BuildGraphFor(name);
-    const RatioReport report =
-        ComputeIntradomainRatios(graph, RiskParams{1e5, 1e3}, &pool);
+    const RatioReport report = IntradomainRatios(
+        RouteEngine(study.BuildGraphFor(name), RiskParams{1e5, 1e3}), &pool);
     EXPECT_GE(report.risk_reduction_ratio, 0.0) << name;
     EXPECT_GE(report.distance_increase_ratio, 0.0) << name;
     EXPECT_GT(report.pair_count, 0u) << name;
@@ -84,9 +93,9 @@ TEST(Integration, RatiosGrowWithLambda) {
   util::ThreadPool pool;
   const RiskGraph graph = study.BuildGraphFor("Sprint");
   const RatioReport low =
-      ComputeIntradomainRatios(graph, RiskParams{1e5, 1e3}, &pool);
+      IntradomainRatios(RouteEngine(graph, RiskParams{1e5, 1e3}), &pool);
   const RatioReport high =
-      ComputeIntradomainRatios(graph, RiskParams{1e6, 1e3}, &pool);
+      IntradomainRatios(RouteEngine(graph, RiskParams{1e6, 1e3}), &pool);
   EXPECT_GT(high.risk_reduction_ratio, low.risk_reduction_ratio);
   EXPECT_GE(high.distance_increase_ratio, low.distance_increase_ratio);
 }
@@ -96,11 +105,11 @@ TEST(Integration, Level3HasSmallestRiskReductionAmongTier1s) {
   // reduction ratio" (its per-PoP impact fractions are tiny).
   const Study& study = SharedStudy();
   util::ThreadPool pool;
-  const RatioReport level3 = ComputeIntradomainRatios(
-      study.BuildGraphFor("Level3"), RiskParams{1e5, 1e3}, &pool);
+  const RatioReport level3 = IntradomainRatios(
+      RouteEngine(study.BuildGraphFor("Level3"), RiskParams{1e5, 1e3}), &pool);
   for (const char* other : {"ATT", "Sprint", "Teliasonera", "NTT"}) {
-    const RatioReport report = ComputeIntradomainRatios(
-        study.BuildGraphFor(other), RiskParams{1e5, 1e3}, &pool);
+    const RatioReport report = IntradomainRatios(
+        RouteEngine(study.BuildGraphFor(other), RiskParams{1e5, 1e3}), &pool);
     EXPECT_LT(level3.risk_reduction_ratio,
               report.risk_reduction_ratio + 0.02)
         << other;
@@ -111,25 +120,23 @@ TEST(Integration, ForecastRiskChangesRoutingDuringStorm) {
   // During a hurricane advisory, PoPs in the wind field pick up forecast
   // risk and the metric must respond (Section 7.3 mechanics).
   const Study& study = SharedStudy();
-  RiskGraph graph = study.BuildGraphFor("Level3");
+  RouteEngine engine(study.BuildGraphFor("Level3"), RiskParams{1e5, 1e3});
   const auto advisories = forecast::GenerateAdvisories(forecast::SandyTrack());
   // Advisory near landfall: large wind field over the northeast.
   const forecast::Advisory& landfall = advisories[advisories.size() - 3];
   const forecast::ForecastRiskField field(landfall);
-  std::vector<double> risks(graph.node_count());
+  std::vector<double> risks(engine.node_count());
   std::size_t affected = 0;
-  for (std::size_t i = 0; i < graph.node_count(); ++i) {
-    risks[i] = field.RiskAt(graph.node(i).location);
+  for (std::size_t i = 0; i < engine.node_count(); ++i) {
+    risks[i] = field.RiskAt(engine.location(i));
     if (risks[i] > 0) ++affected;
   }
   EXPECT_GT(affected, 10u);  // Sandy's field must cover many Level3 PoPs
-  graph.SetForecastRisks(risks);
+  engine.SetForecastRisks(risks);
   util::ThreadPool pool;
-  const RatioReport with_storm =
-      ComputeIntradomainRatios(graph, RiskParams{1e5, 1e3}, &pool);
-  graph.ClearForecastRisks();
-  const RatioReport without_storm =
-      ComputeIntradomainRatios(graph, RiskParams{1e5, 1e3}, &pool);
+  const RatioReport with_storm = IntradomainRatios(engine, &pool);
+  engine.ClearForecastRisks();
+  const RatioReport without_storm = IntradomainRatios(engine, &pool);
   EXPECT_GT(with_storm.risk_reduction_ratio,
             without_storm.risk_reduction_ratio);
 }
@@ -180,8 +187,8 @@ TEST(Integration, InterdomainRatiosNonDegenerate) {
   util::ThreadPool pool;
   const MergedGraph merged = study.BuildMerged();
   const RatioReport report = InterdomainRatios(
-      merged, study.corpus(), study.NetworkIndex("Digex"),
-      RiskParams{1e5, 1e3}, &pool);
+      RouteEngine(merged.graph, RiskParams{1e5, 1e3}), merged, study.corpus(),
+      study.NetworkIndex("Digex"), &pool);
   EXPECT_GT(report.pair_count, 1000u);
   EXPECT_GE(report.risk_reduction_ratio, 0.0);
   EXPECT_LT(report.risk_reduction_ratio, 1.0);

@@ -5,7 +5,6 @@
 
 #include "core/interdomain.h"
 #include "core/risk_graph.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
 #include "geo/distance.h"
 #include "hazard/risk_field.h"
@@ -185,8 +184,8 @@ TEST(Interdomain, RegionalTargetsCoverAllRegionalPops) {
 TEST(Interdomain, RatiosComputeForPeeredRegional) {
   Fixture f;
   const MergedGraph merged = BuildMergedGraph(f.corpus, f.impacts, *f.field);
-  const RatioReport report =
-      InterdomainRatios(merged, f.corpus, 1, RiskParams{1e5, 1e3});
+  const RatioReport report = InterdomainRatios(
+      RouteEngine(merged.graph, RiskParams{1e5, 1e3}), merged, f.corpus, 1);
   // TexNet PoPs can reach each other (LoneStar unreachable): 2 pairs.
   EXPECT_EQ(report.pair_count, 2u);
   EXPECT_GE(report.risk_reduction_ratio, 0.0);
@@ -195,22 +194,23 @@ TEST(Interdomain, RatiosComputeForPeeredRegional) {
 TEST(Interdomain, LowerBoundNeverWorseThanUpperBound) {
   Fixture f;
   const MergedGraph merged = BuildMergedGraph(f.corpus, f.impacts, *f.field);
-  const RiskParams params{1e6, 1e3};
-  const RiskRouter router(merged.graph, params);
+  const RouteEngine engine(merged.graph, RiskParams{1e6, 1e3});
   const std::size_t houston = merged.GlobalId(1, 1);
   const std::size_t denver = merged.GlobalId(0, 1);
-  const auto lower = router.MinRiskRoute(houston, denver);   // full control
-  const auto upper = router.ShortestRoute(houston, denver);  // geo shortest
+  const auto lower = engine.FindPath(houston, denver,  // full control
+                                     engine.Alpha(houston, denver));
+  const auto upper = engine.FindPath(houston, denver, 0.0);  // geo shortest
   ASSERT_TRUE(lower && upper);
-  EXPECT_LE(lower->bit_risk_miles, upper->bit_risk_miles + 1e-9);
+  EXPECT_LE(engine.PathBitRiskMiles(*lower),
+            engine.PathBitRiskMiles(*upper) + 1e-9);
 }
 
 TEST(Interdomain, IndexValidation) {
   Fixture f;
   const MergedGraph merged = BuildMergedGraph(f.corpus, f.impacts, *f.field);
-  EXPECT_THROW(
-      (void)InterdomainRatios(merged, f.corpus, 99, RiskParams{}),
-      InvalidArgument);
+  EXPECT_THROW((void)InterdomainRatios(RouteEngine(merged.graph, RiskParams{}),
+                                       merged, f.corpus, 99),
+               InvalidArgument);
 }
 
 }  // namespace

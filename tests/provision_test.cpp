@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/interdomain.h"
-#include "core/riskroute.h"
 #include "geo/distance.h"
 #include "hazard/risk_field.h"
 #include "hazard/synthesis.h"
@@ -125,7 +124,7 @@ TEST(Augmentation, FirstLinkIsTheBestSingleAddition) {
        EnumerateCandidateLinks(graph, options.candidates)) {
     RiskGraph probe = graph;
     probe.AddEdge(c.a, c.b, c.direct_miles);
-    EXPECT_GE(core::AggregateMinBitRisk(probe, params),
+    EXPECT_GE(core::RouteEngine(probe, params).AggregateMinBitRisk(),
               result.steps[0].bit_risk_miles - 1e-9);
   }
 }

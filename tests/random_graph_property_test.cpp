@@ -1,16 +1,18 @@
 // Property tests on random graphs: Dijkstra is cross-checked against
 // Floyd-Warshall, Yen's enumeration against exhaustive DFS path
-// enumeration, and metric invariants against random parameter draws.
+// enumeration, engine sweeps bitwise against the reference oracle, and
+// metric invariants against random parameter draws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/edge_overlay.h"
 #include "core/k_shortest.h"
-#include "core/riskroute.h"
+#include "core/ospf_export.h"
 #include "core/route_engine.h"
-#include "core/shortest_path.h"
+#include "tests/oracle/reference_routing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -69,32 +71,10 @@ std::vector<std::vector<double>> FloydWarshall(const RiskGraph& graph) {
   return dist;
 }
 
-/// All loopless paths between two nodes by DFS (small graphs only).
-void EnumeratePaths(const RiskGraph& graph, std::size_t node, std::size_t dst,
-                    Path& current, std::vector<bool>& visited,
-                    std::vector<Path>& out) {
-  if (node == dst) {
-    out.push_back(current);
-    return;
-  }
-  for (const RiskEdge& e : graph.OutEdges(node)) {
-    if (visited[e.to]) continue;
-    visited[e.to] = true;
-    current.push_back(e.to);
-    EnumeratePaths(graph, e.to, dst, current, visited, out);
-    current.pop_back();
-    visited[e.to] = false;
-  }
-}
-
+/// Plain mileage of a path: the Eq 1 fold at alpha = 0.
 double PathMilesOf(const RiskGraph& graph, const Path& path) {
-  double total = 0.0;
-  for (std::size_t k = 1; k < path.size(); ++k) {
-    for (const RiskEdge& e : graph.OutEdges(path[k - 1])) {
-      if (e.to == path[k]) total += e.miles;
-    }
-  }
-  return total;
+  return oracle::PathWeight(graph, path,
+                            oracle::BitRiskWeight{&graph, RiskParams{}, 0.0});
 }
 
 class RandomGraphSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -103,9 +83,10 @@ TEST_P(RandomGraphSweep, DijkstraMatchesFloydWarshall) {
   util::Rng rng(GetParam());
   const RiskGraph graph = RandomGraph(20, 0.15, rng);
   const auto expected = FloydWarshall(graph);
+  const RouteEngine engine(graph, RiskParams{});
   DijkstraWorkspace workspace;
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
-    workspace.Run(graph, s, DistanceWeight);
+    engine.RunDistance(workspace, s);
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
       ASSERT_TRUE(workspace.Reached(d));
       EXPECT_NEAR(workspace.DistanceTo(d), expected[s][d], 1e-6)
@@ -118,18 +99,14 @@ TEST_P(RandomGraphSweep, YenMatchesExhaustiveEnumeration) {
   util::Rng rng(GetParam() + 1000);
   const RiskGraph graph = RandomGraph(9, 0.25, rng);
   const std::size_t src = 0, dst = graph.node_count() - 1;
-  std::vector<Path> all;
-  Path current{src};
-  std::vector<bool> visited(graph.node_count(), false);
-  visited[src] = true;
-  EnumeratePaths(graph, src, dst, current, visited, all);
+  std::vector<Path> all = oracle::LooplessPaths(graph, src, dst);
   std::sort(all.begin(), all.end(), [&](const Path& a, const Path& b) {
     return PathMilesOf(graph, a) < PathMilesOf(graph, b);
   });
 
   const std::size_t k = std::min<std::size_t>(6, all.size());
   const auto yen =
-      KShortestPaths(graph, src, dst, k, EdgeWeightFn(DistanceWeight));
+      KShortestPaths(RouteEngine(graph, RiskParams{}), src, dst, k, 0.0);
   ASSERT_EQ(yen.size(), k);
   for (std::size_t i = 0; i < k; ++i) {
     // Weights must match the i-th cheapest enumerated path (paths may tie).
@@ -142,35 +119,35 @@ TEST_P(RandomGraphSweep, MinRiskRouteIsOptimalOverEnumeration) {
   util::Rng rng(GetParam() + 2000);
   const RiskGraph graph = RandomGraph(8, 0.3, rng);
   const RiskParams params{rng.Uniform(10, 1e4), rng.Uniform(0, 10)};
-  const RiskRouter router(graph, params);
+  const RouteEngine engine(graph, params);
   const std::size_t src = 0, dst = graph.node_count() - 1;
-  std::vector<Path> all;
-  Path current{src};
-  std::vector<bool> visited(graph.node_count(), false);
-  visited[src] = true;
-  EnumeratePaths(graph, src, dst, current, visited, all);
+  const oracle::BitRiskWeight eq1{&graph, params,
+                                  oracle::Alpha(graph, src, dst)};
+  const std::vector<Path> all = oracle::LooplessPaths(graph, src, dst);
   ASSERT_FALSE(all.empty());
   double best = std::numeric_limits<double>::infinity();
   for (const Path& p : all) {
-    best = std::min(best, router.PathBitRiskMiles(p));
+    best = std::min(best, oracle::PathWeight(graph, p, eq1));
   }
-  const auto route = router.MinRiskRoute(src, dst);
+  const auto route = engine.FindPath(src, dst, engine.Alpha(src, dst));
   ASSERT_TRUE(route.has_value());
-  EXPECT_NEAR(route->bit_risk_miles, best, 1e-6);
+  EXPECT_NEAR(engine.PathBitRiskMiles(*route), best, 1e-6);
 }
 
 TEST_P(RandomGraphSweep, RatiosWellFormed) {
   util::Rng rng(GetParam() + 3000);
   const RiskGraph graph = RandomGraph(15, 0.2, rng);
-  const RatioReport report =
-      ComputeIntradomainRatios(graph, RiskParams{1e4, 1e2});
+  std::vector<std::size_t> everyone(graph.node_count());
+  std::iota(everyone.begin(), everyone.end(), std::size_t{0});
+  const RatioReport report = RouteEngine(graph, RiskParams{1e4, 1e2})
+                                 .ComputeRatios(everyone, everyone);
   EXPECT_EQ(report.pair_count, 15u * 14u);
   EXPECT_GE(report.risk_reduction_ratio, -1e-9);
   EXPECT_LT(report.risk_reduction_ratio, 1.0);
   EXPECT_GE(report.distance_increase_ratio, -1e-9);
 }
 
-/// Legacy all-pairs matrices via the per-pair DijkstraWorkspace loop: one
+/// Oracle all-pairs matrices via the per-pair reference Dijkstra: one
 /// full distance sweep per source, one targeted bit-risk run per pair.
 struct LegacyMatrices {
   std::vector<double> distance;  // row-major n x n
@@ -179,24 +156,20 @@ struct LegacyMatrices {
 
 LegacyMatrices LegacyAllPairs(const RiskGraph& graph, const RiskParams& params) {
   const std::size_t n = graph.node_count();
-  const RiskRouter router(graph, params);
-  const auto weight = [&](double alpha) {
-    return [&, alpha](std::size_t, const RiskEdge& edge) {
-      return edge.miles + alpha * router.NodeScore(edge.to);
-    };
-  };
   LegacyMatrices m;
   m.distance.assign(n * n, 0.0);
   m.bit_risk.assign(n * n, 0.0);
-  DijkstraWorkspace workspace;
+  oracle::Dijkstra workspace;
   for (std::size_t s = 0; s < n; ++s) {
-    workspace.Run(graph, s, DistanceWeight);
+    workspace.Run(graph, s, oracle::BitRiskWeight{&graph, params, 0.0});
     for (std::size_t d = 0; d < n; ++d) {
       m.distance[s * n + d] = workspace.DistanceTo(d);
     }
     for (std::size_t d = 0; d < n; ++d) {
       if (d == s) continue;
-      workspace.Run(graph, s, weight(router.Alpha(s, d)), d);
+      workspace.Run(
+          graph, s,
+          oracle::BitRiskWeight{&graph, params, oracle::Alpha(graph, s, d)}, d);
       m.bit_risk[s * n + d] = workspace.DistanceTo(d);
     }
   }
@@ -283,6 +256,33 @@ TEST_P(RandomGraphSweep, EngineOverlayBitwiseMatchesMutateAndRestore) {
   // overlay too (mutation and overlay are interchangeable).
   const RouteEngine refrozen(graph, params);
   ExpectAllPairsBitwiseEqual(refrozen, nullptr, expected, nullptr, 0);
+}
+
+TEST_P(RandomGraphSweep, CompositeEngineAllPairsBitwiseMatchesCallback) {
+  // The OSPF composite-cost engine routed at alpha 0 must reproduce the
+  // composite link-weight callback exactly. Its graph is rebuilt link by
+  // link, so adjacency order differs from the source graph; settled
+  // distances do not depend on that order, parent chains might.
+  util::Rng rng(GetParam() + 6000);
+  const RiskGraph graph = RandomGraph(16, 0.2, rng);
+  OspfExportOptions options;
+  options.params = RiskParams{rng.Uniform(10, 1e4), rng.Uniform(0, 10)};
+  options.alpha = rng.Uniform(0.01, 0.5);
+  const auto composite = [&](std::size_t from, const RiskEdge& edge) {
+    return edge.miles +
+           options.alpha * (oracle::NodeScore(graph, options.params, from) +
+                            oracle::NodeScore(graph, options.params, edge.to)) /
+               2.0;
+  };
+  const RouteEngine engine = CompositeEngine(graph, options);
+  const PairMatrix got = engine.AllPairs(RouteMetric::kDistance);
+  oracle::Dijkstra workspace;
+  for (std::size_t s = 0; s < graph.node_count(); ++s) {
+    workspace.Run(graph, s, composite);
+    for (std::size_t d = 0; d < graph.node_count(); ++d) {
+      ASSERT_EQ(got.at(s, d), workspace.DistanceTo(d)) << s << "->" << d;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep,

@@ -1,8 +1,8 @@
 // RouteEngine tests: the frozen CSR engine and EdgeOverlay must be
-// bitwise-exact stand-ins for the legacy DijkstraWorkspace sweeps over a
-// (possibly mutated) RiskGraph. Every parity check here uses EXPECT_EQ on
-// doubles deliberately — the engine's contract is bitwise identity, not
-// tolerance-level agreement.
+// bitwise-exact stand-ins for the reference oracle's callback Dijkstra
+// over a (possibly mutated) RiskGraph. Every parity check here uses
+// EXPECT_EQ on doubles deliberately — the engine's contract is bitwise
+// identity, not tolerance-level agreement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +15,11 @@
 #include "core/edge_overlay.h"
 #include "core/k_shortest.h"
 #include "core/risk_params.h"
-#include "core/riskroute.h"
 #include "core/route_engine.h"
-#include "core/shortest_path.h"
 #include "obs/metrics.h"
 #include "provision/augmentation.h"
 #include "provision/candidate_links.h"
+#include "tests/oracle/reference_routing.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -35,9 +34,10 @@ using core::RiskEdge;
 using core::RiskGraph;
 using core::RiskNode;
 using core::RiskParams;
-using core::RiskRouter;
 using core::RouteEngine;
 using core::RouteMetric;
+using oracle::Alpha;
+using oracle::BitRiskWeight;
 
 /// Random connected geometric graph with random risk attributes.
 RiskGraph RandomGraph(std::size_t n, double extra_edge_prob, util::Rng& rng) {
@@ -69,37 +69,19 @@ RiskGraph RandomGraph(std::size_t n, double extra_edge_prob, util::Rng& rng) {
   return graph;
 }
 
-/// The seed's BitRiskWeight functor, verbatim: the legacy per-edge weight
-/// recomputation the engine's risk plane replaces.
-struct LegacyBitRiskWeight {
-  const RiskGraph* graph;
-  RiskParams params;
-  double alpha;
-
-  double operator()(std::size_t, const RiskEdge& edge) const {
-    const RiskNode& to = graph->node(edge.to);
-    return edge.miles + alpha * (params.lambda_historical * to.historical_risk +
-                                 params.lambda_forecast * to.forecast_risk);
-  }
-};
-
-double LegacyAlpha(const RiskGraph& graph, std::size_t i, std::size_t j) {
-  return graph.node(i).impact_fraction + graph.node(j).impact_fraction;
-}
-
 /// Serial replica of the seed's AggregateMinBitRisk (Eq 4): one targeted
-/// legacy Dijkstra per unordered pair, per-source sums added in index
+/// oracle Dijkstra per unordered pair, per-source sums added in index
 /// order.
 double LegacyAggregateMinBitRisk(const RiskGraph& graph,
                                  const RiskParams& params) {
   const std::size_t n = graph.node_count();
-  DijkstraWorkspace workspace;
+  oracle::Dijkstra workspace;
   std::vector<double> per_source(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = 0.0;
     for (std::size_t j = i + 1; j < n; ++j) {
-      const double alpha = LegacyAlpha(graph, i, j);
-      workspace.Run(graph, i, LegacyBitRiskWeight{&graph, params, alpha}, j);
+      const double alpha = Alpha(graph, i, j);
+      workspace.Run(graph, i, BitRiskWeight{&graph, params, alpha}, j);
       if (workspace.Reached(j)) sum += workspace.DistanceTo(j);
     }
     per_source[i] = sum;
@@ -113,15 +95,15 @@ double LegacyAggregateMinBitRisk(const RiskGraph& graph,
 double LegacySumMinBitRisk(const RiskGraph& graph, const RiskParams& params,
                            const std::vector<std::size_t>& sources,
                            const std::vector<std::size_t>& targets) {
-  DijkstraWorkspace workspace;
+  oracle::Dijkstra workspace;
   std::vector<double> per_source(sources.size(), 0.0);
   for (std::size_t s = 0; s < sources.size(); ++s) {
     const std::size_t i = sources[s];
     double sum = 0.0;
     for (const std::size_t j : targets) {
       if (j == i) continue;
-      const double alpha = LegacyAlpha(graph, i, j);
-      workspace.Run(graph, i, LegacyBitRiskWeight{&graph, params, alpha}, j);
+      const double alpha = Alpha(graph, i, j);
+      workspace.Run(graph, i, BitRiskWeight{&graph, params, alpha}, j);
       if (workspace.Reached(j)) sum += workspace.DistanceTo(j);
     }
     per_source[s] = sum;
@@ -136,11 +118,11 @@ void ExpectEngineMatchesGraph(const RouteEngine& engine,
                               const RiskGraph& graph,
                               const RiskParams& params, double alpha) {
   DijkstraWorkspace engine_ws;
-  DijkstraWorkspace legacy_ws;
+  oracle::Dijkstra legacy_ws;
   const std::size_t n = graph.node_count();
   for (std::size_t s = 0; s < n; ++s) {
     engine.Run(engine_ws, s, alpha, std::nullopt, overlay);
-    legacy_ws.Run(graph, s, LegacyBitRiskWeight{&graph, params, alpha});
+    legacy_ws.Run(graph, s, BitRiskWeight{&graph, params, alpha});
     for (std::size_t d = 0; d < n; ++d) {
       ASSERT_EQ(engine_ws.DistanceTo(d), legacy_ws.DistanceTo(d))
           << "sweep " << s << "->" << d << " alpha " << alpha;
@@ -157,12 +139,11 @@ TEST(RouteEngineTest, FreezePreservesAdjacencyOrderAndScores) {
   util::Rng rng(11);
   const RiskGraph graph = RandomGraph(20, 0.2, rng);
   const RiskParams params{1e4, 1e2};
-  const RiskRouter router(graph, params);
   const RouteEngine engine(graph, params);
 
   ASSERT_EQ(engine.node_count(), graph.node_count());
   for (std::size_t u = 0; u < graph.node_count(); ++u) {
-    EXPECT_EQ(engine.NodeScore(u), router.NodeScore(u));
+    EXPECT_EQ(engine.NodeScore(u), oracle::NodeScore(graph, params, u));
     EXPECT_EQ(engine.impact_fraction(u), graph.node(u).impact_fraction);
     const auto& edges = graph.OutEdges(u);
     ASSERT_EQ(engine.EdgeEnd(u) - engine.EdgeBegin(u), edges.size());
@@ -172,11 +153,12 @@ TEST(RouteEngineTest, FreezePreservesAdjacencyOrderAndScores) {
       // the bitwise-identity contract rests on.
       EXPECT_EQ(engine.EdgeHead(e), edges[k].to);
       EXPECT_EQ(engine.EdgeMiles(e), edges[k].miles);
-      EXPECT_EQ(engine.EdgeRisk(e), router.NodeScore(edges[k].to));
+      EXPECT_EQ(engine.EdgeRisk(e),
+                oracle::NodeScore(graph, params, edges[k].to));
     }
     for (std::size_t v = 0; v < graph.node_count(); ++v) {
       EXPECT_EQ(engine.HasEdge(u, v), graph.HasEdge(u, v));
-      EXPECT_EQ(engine.Alpha(u, v), router.Alpha(u, v));
+      EXPECT_EQ(engine.Alpha(u, v), Alpha(graph, u, v));
     }
   }
 }
@@ -189,17 +171,17 @@ TEST(RouteEngineTest, RunBitwiseMatchesLegacyDijkstra) {
 
   ExpectEngineMatchesGraph(engine, nullptr, graph, params, 0.0);
   ExpectEngineMatchesGraph(engine, nullptr, graph, params,
-                           LegacyAlpha(graph, 0, graph.node_count() - 1));
+                           Alpha(graph, 0, graph.node_count() - 1));
 
-  // Targeted (early-exit) runs agree with the legacy targeted runs.
+  // Targeted (early-exit) runs agree with the oracle's targeted runs.
   DijkstraWorkspace engine_ws;
-  DijkstraWorkspace legacy_ws;
+  oracle::Dijkstra legacy_ws;
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
       if (d == s) continue;
-      const double alpha = LegacyAlpha(graph, s, d);
+      const double alpha = Alpha(graph, s, d);
       engine.Run(engine_ws, s, alpha, d);
-      legacy_ws.Run(graph, s, LegacyBitRiskWeight{&graph, params, alpha}, d);
+      legacy_ws.Run(graph, s, BitRiskWeight{&graph, params, alpha}, d);
       ASSERT_EQ(engine_ws.DistanceTo(d), legacy_ws.DistanceTo(d));
       ASSERT_EQ(engine_ws.PathTo(d), legacy_ws.PathTo(d));
     }
@@ -209,12 +191,13 @@ TEST(RouteEngineTest, RunBitwiseMatchesLegacyDijkstra) {
 TEST(RouteEngineTest, RunDistanceMatchesDistanceWeight) {
   util::Rng rng(13);
   const RiskGraph graph = RandomGraph(20, 0.2, rng);
-  const RouteEngine engine(graph, RiskParams{1e5, 1e3});
+  const RiskParams params{1e5, 1e3};
+  const RouteEngine engine(graph, params);
   DijkstraWorkspace engine_ws;
-  DijkstraWorkspace legacy_ws;
+  oracle::Dijkstra legacy_ws;
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
     engine.RunDistance(engine_ws, s);
-    legacy_ws.Run(graph, s, core::DistanceWeight);
+    legacy_ws.Run(graph, s, BitRiskWeight{&graph, params, 0.0});
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
       ASSERT_EQ(engine_ws.DistanceTo(d), legacy_ws.DistanceTo(d));
     }
@@ -243,7 +226,7 @@ TEST(RouteEngineTest, OverlayAdditionsMatchMutatedGraph) {
   ASSERT_GT(added, 0u);
   ExpectEngineMatchesGraph(engine, &overlay, mutated, params, 0.0);
   ExpectEngineMatchesGraph(engine, &overlay, mutated, params,
-                           LegacyAlpha(graph, 1, 2));
+                           Alpha(graph, 1, 2));
 }
 
 TEST(RouteEngineTest, OverlayRemovalsMatchMutatedGraph) {
@@ -267,7 +250,7 @@ TEST(RouteEngineTest, OverlayRemovalsMatchMutatedGraph) {
   ASSERT_GT(removed, 0u);
   ExpectEngineMatchesGraph(engine, &overlay, mutated, params, 0.0);
   ExpectEngineMatchesGraph(engine, &overlay, mutated, params,
-                           LegacyAlpha(graph, 0, 3));
+                           Alpha(graph, 0, 3));
 }
 
 TEST(RouteEngineTest, OverlayDisabledNodeMatchesEdgeStrippedGraph) {
@@ -285,12 +268,12 @@ TEST(RouteEngineTest, OverlayDisabledNodeMatchesEdgeStrippedGraph) {
   }
 
   DijkstraWorkspace engine_ws;
-  DijkstraWorkspace legacy_ws;
-  const double alpha = LegacyAlpha(graph, 0, 1);
+  oracle::Dijkstra legacy_ws;
+  const double alpha = Alpha(graph, 0, 1);
   for (std::size_t s = 0; s < graph.node_count(); ++s) {
     if (s == victim) continue;
     engine.Run(engine_ws, s, alpha, std::nullopt, &overlay);
-    legacy_ws.Run(mutated, s, LegacyBitRiskWeight{&mutated, params, alpha});
+    legacy_ws.Run(mutated, s, BitRiskWeight{&mutated, params, alpha});
     for (std::size_t d = 0; d < graph.node_count(); ++d) {
       ASSERT_EQ(engine_ws.DistanceTo(d), legacy_ws.DistanceTo(d))
           << s << "->" << d;
@@ -343,7 +326,7 @@ TEST(RouteEngineTest, ForecastUpdatesRebuildRiskPlane) {
     ASSERT_EQ(engine.NodeScore(v), fresh.NodeScore(v));
   }
   ExpectEngineMatchesGraph(engine, nullptr, forecast_graph, params,
-                           LegacyAlpha(graph, 2, 5));
+                           Alpha(graph, 2, 5));
 
   engine.ClearForecastRisks();
   RiskGraph cleared_graph = graph;
@@ -358,17 +341,20 @@ TEST(RouteEngineTest, PathMetricsMatchRiskRouter) {
   util::Rng rng(18);
   const RiskGraph graph = RandomGraph(16, 0.2, rng);
   const RiskParams params{rng.Uniform(10, 1e4), rng.Uniform(0, 10)};
-  const RiskRouter router(graph, params);
   const RouteEngine engine(graph, params);
 
   for (std::size_t d = 1; d < graph.node_count(); ++d) {
     const auto path = engine.FindPath(0, d, engine.Alpha(0, d));
     ASSERT_TRUE(path.has_value());
-    EXPECT_EQ(engine.PathBitRiskMiles(*path), router.PathBitRiskMiles(*path));
-    EXPECT_EQ(engine.PathMiles(*path), router.PathMiles(*path));
+    // Eq 1 folded hop by hop with the endpoints' alpha; miles at alpha 0.
+    const BitRiskWeight eq1{&graph, params, Alpha(graph, 0, d)};
+    const BitRiskWeight miles{&graph, params, 0.0};
+    EXPECT_EQ(engine.PathBitRiskMiles(*path),
+              oracle::PathWeight(graph, *path, eq1));
+    EXPECT_EQ(engine.PathMiles(*path), oracle::PathWeight(graph, *path, miles));
   }
   EXPECT_THROW((void)engine.PathWeight(Path{}, 0.0), InvalidArgument);
-  // A path using a non-existent edge must throw, as the router does.
+  // A path using a non-existent edge must throw, as the oracle fold does.
   std::size_t a = 0, b = 0;
   for (a = 0; a < graph.node_count(); ++a) {
     for (b = a + 1; b < graph.node_count(); ++b) {
@@ -387,15 +373,22 @@ TEST(RouteEngineTest, KShortestMatchesLegacyYen) {
   const RouteEngine engine(graph, params);
   const std::size_t src = 0, dst = graph.node_count() - 1;
 
-  for (const double alpha : {0.0, LegacyAlpha(graph, src, dst)}) {
-    const auto legacy = core::KShortestPaths(
-        graph, src, dst, 5,
-        core::EdgeWeightFn(LegacyBitRiskWeight{&graph, params, alpha}));
+  const std::vector<Path> loopless = oracle::LooplessPaths(graph, src, dst);
+  for (const double alpha : {0.0, Alpha(graph, src, dst)}) {
+    // Every loopless path scored with the oracle fold, ranked by
+    // (weight, path) — the order Yen's candidate set promotes in.
+    std::vector<std::pair<double, Path>> ranked;
+    for (const Path& path : loopless) {
+      ranked.emplace_back(
+          oracle::PathWeight(graph, path, BitRiskWeight{&graph, params, alpha}),
+          path);
+    }
+    std::sort(ranked.begin(), ranked.end());
     const auto mine = core::KShortestPaths(engine, src, dst, 5, alpha);
-    ASSERT_EQ(mine.size(), legacy.size());
+    ASSERT_EQ(mine.size(), std::min<std::size_t>(5, ranked.size()));
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mine[i].path, legacy[i].path) << "rank " << i;
-      EXPECT_EQ(mine[i].weight, legacy[i].weight) << "rank " << i;
+      EXPECT_EQ(mine[i].path, ranked[i].second) << "rank " << i;
+      EXPECT_EQ(mine[i].weight, ranked[i].first) << "rank " << i;
     }
   }
 }
@@ -406,31 +399,36 @@ TEST(RouteEngineTest, BypassVariantsMatchLegacy) {
   const RiskParams params{1e4, 1e2};
   const RouteEngine engine(graph, params);
 
+  // The oracle routes on a graph copy with the protected link removed or
+  // the protected node's edges stripped; both keep adjacency order, so
+  // paths must match bitwise.
+  oracle::Dijkstra reference;
   for (std::size_t u = 0; u < graph.node_count(); ++u) {
     for (const RiskEdge& edge : graph.OutEdges(u)) {
       if (edge.to < u) continue;
-      const double alpha = LegacyAlpha(graph, u, edge.to);
-      const auto legacy = core::LinkBypass(
-          graph, u, edge.to,
-          core::EdgeWeightFn(LegacyBitRiskWeight{&graph, params, alpha}));
+      const double alpha = Alpha(graph, u, edge.to);
+      RiskGraph cut = graph;
+      cut.RemoveEdge(u, edge.to);
+      reference.Run(cut, u, BitRiskWeight{&cut, params, alpha}, edge.to);
       const auto mine = core::LinkBypass(engine, u, edge.to, alpha);
-      ASSERT_EQ(mine.has_value(), legacy.has_value());
-      if (legacy) {
-        EXPECT_EQ(*mine, *legacy);
+      ASSERT_EQ(mine.has_value(), reference.Reached(edge.to));
+      if (mine) {
+        EXPECT_EQ(*mine, reference.PathTo(edge.to));
       }
     }
   }
   for (std::size_t protect = 1; protect + 1 < graph.node_count(); ++protect) {
     const std::size_t u = 0, dst = graph.node_count() - 1;
-    if (protect == u || protect == dst) continue;
-    const double alpha = LegacyAlpha(graph, u, dst);
-    const auto legacy = core::NodeBypass(
-        graph, u, dst, protect,
-        core::EdgeWeightFn(LegacyBitRiskWeight{&graph, params, alpha}));
+    const double alpha = Alpha(graph, u, dst);
+    RiskGraph stripped = graph;
+    while (!stripped.OutEdges(protect).empty()) {
+      stripped.RemoveEdge(protect, stripped.OutEdges(protect).front().to);
+    }
+    reference.Run(stripped, u, BitRiskWeight{&stripped, params, alpha}, dst);
     const auto mine = core::NodeBypass(engine, u, dst, protect, alpha);
-    ASSERT_EQ(mine.has_value(), legacy.has_value());
-    if (legacy) {
-      EXPECT_EQ(*mine, *legacy);
+    ASSERT_EQ(mine.has_value(), reference.Reached(dst));
+    if (mine) {
+      EXPECT_EQ(*mine, reference.PathTo(dst));
     }
   }
 }
@@ -686,10 +684,11 @@ TEST(RiskGraphEdgeRoundTripTest, RemoveThenReAddMatchesOverlaySemantics) {
 
   // Functional consequence: distances are bitwise unchanged by the
   // general remove/re-add round trip (same edge set, same weights).
-  DijkstraWorkspace before_ws, after_ws;
+  oracle::Dijkstra before_ws, after_ws;
+  const RiskParams params{};
   for (std::size_t s = 0; s < original.node_count(); ++s) {
-    before_ws.Run(original, s, core::DistanceWeight);
-    after_ws.Run(graph, s, core::DistanceWeight);
+    before_ws.Run(original, s, BitRiskWeight{&original, params, 0.0});
+    after_ws.Run(graph, s, BitRiskWeight{&graph, params, 0.0});
     for (std::size_t d = 0; d < original.node_count(); ++d) {
       ASSERT_EQ(before_ws.DistanceTo(d), after_ws.DistanceTo(d));
     }

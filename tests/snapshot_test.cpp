@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/multi_objective.h"
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
@@ -102,6 +103,29 @@ TEST(SnapshotTest, BootedEngineRoutesBitwiseIdentically) {
   engine.Run(ws_a, 0, engine.Alpha(0, 31), 31);
   booted.Run(ws_b, 0, booted.Alpha(0, 31), 31);
   EXPECT_EQ(ws_a.DistanceTo(31), ws_b.DistanceTo(31));
+}
+
+TEST(SnapshotTest, BootedEngineServesTheSameParetoFront) {
+  // The SLA picker (route --latency-budget) runs on whatever engine the
+  // service booted, so a snapshot boot must reproduce the live front.
+  const RiskGraph graph = SampleGraph(40, 31);
+  const RouteEngine live(graph, kParams);
+  auto loaded = RouteEngine::LoadSnapshot(AsBytes(live.SnapshotBytes()));
+  ASSERT_TRUE(loaded.ok()) << loaded.error().Render();
+  const core::MultiObjectiveRouter from_live(live);
+  const core::MultiObjectiveRouter from_snapshot(loaded.value());
+  for (const std::size_t dst : {std::size_t{13}, std::size_t{39}}) {
+    const auto want = from_live.ParetoFront(0, dst);
+    const auto got = from_snapshot.ParetoFront(0, dst);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size()) << dst;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(got[k].path, want[k].path) << dst << " #" << k;
+      EXPECT_EQ(got[k].miles, want[k].miles);
+      EXPECT_EQ(got[k].bit_risk_miles, want[k].bit_risk_miles);
+      EXPECT_EQ(got[k].latency_ms, want[k].latency_ms);
+    }
+  }
 }
 
 TEST(SnapshotTest, ForecastRisksSurviveTheRoundTrip) {

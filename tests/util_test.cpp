@@ -84,24 +84,27 @@ TEST(Strings, Format) {
 // ---------- csv ----------
 
 TEST(Csv, ParsePlainFields) {
-  EXPECT_EQ(ParseCsvLine("a,b,c"), (CsvRow{"a", "b", "c"}));
-  EXPECT_EQ(ParseCsvLine("a,,c"), (CsvRow{"a", "", "c"}));
+  EXPECT_EQ(ParseCsvLineResult("a,b,c").value(), (CsvRow{"a", "b", "c"}));
+  EXPECT_EQ(ParseCsvLineResult("a,,c").value(), (CsvRow{"a", "", "c"}));
 }
 
 TEST(Csv, ParseQuotedFields) {
-  EXPECT_EQ(ParseCsvLine("\"a,b\",c"), (CsvRow{"a,b", "c"}));
-  EXPECT_EQ(ParseCsvLine("\"he said \"\"hi\"\"\",x"),
+  EXPECT_EQ(ParseCsvLineResult("\"a,b\",c").value(), (CsvRow{"a,b", "c"}));
+  EXPECT_EQ(ParseCsvLineResult("\"he said \"\"hi\"\"\",x").value(),
             (CsvRow{"he said \"hi\"", "x"}));
 }
 
 TEST(Csv, ParseUnterminatedQuoteThrows) {
-  EXPECT_THROW((void)ParseCsvLine("\"oops"), ParseError);
+  const auto result = ParseCsvLineResult("\"oops");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().kind, ParseErrorKind::kBadSyntax);
+  EXPECT_THROW((void)result.ValueOrThrow(), ParseError);
 }
 
 TEST(Csv, EscapeRoundTrip) {
   for (const std::string field :
        {"plain", "with,comma", "with\"quote", "with both\",\""}) {
-    const CsvRow row = ParseCsvLine(EscapeCsvField(field));
+    const CsvRow row = ParseCsvLineResult(EscapeCsvField(field)).value();
     ASSERT_EQ(row.size(), 1u);
     EXPECT_EQ(row[0], field);
   }
@@ -113,7 +116,7 @@ TEST(Csv, WriterReaderRoundTrip) {
   writer.Write("name", "value", 3.5);
   writer.Write("a,b", 42, std::string("q\"q"));
   std::istringstream in(out.str());
-  const auto rows = ReadCsv(in);
+  const auto rows = ReadCsvResult(in).value();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (CsvRow{"name", "value", "3.5"}));
   EXPECT_EQ(rows[1], (CsvRow{"a,b", "42", "q\"q"}));

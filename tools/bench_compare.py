@@ -12,7 +12,9 @@ The tool then:
   2. fails if any speedup is below its pair's target floor scaled by
      ``--floor-scale`` (or the uniform ``--min-speedup`` override),
   3. if a baseline report exists (``--baseline``), fails if any speedup
-     regressed by more than ``--regression-threshold`` relative to it,
+     regressed by more than ``--regression-threshold`` relative to it, or
+     if a gated pair has no entry in it (an unbaselined pair has no
+     regression gate at all),
   4. collects the obs:: metrics sidecar each bench harness drops (via
      ``RISKROUTE_METRICS_OUT``) next to the report as
      ``<output stem>_<binary stem>_metrics.json`` and fails — never
@@ -226,7 +228,9 @@ def check_baseline(report: dict, baseline: dict, threshold: float) -> list[str]:
     for key, pair in report["pairs"].items():
         base = baseline.get("pairs", {}).get(key)
         if base is None:
-            continue  # new pair, nothing to regress against
+            failures.append(f"{key}: no entry in the baseline — record one "
+                            f"so the pair has a regression gate")
+            continue
         floor = base["speedup"] * (1.0 - threshold)
         if pair["speedup"] < floor:
             failures.append(

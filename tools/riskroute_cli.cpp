@@ -35,12 +35,12 @@
 #include <string>
 #include <utility>
 
+#include "api/api.h"
 #include "bgp/path_vector.h"
 #include "bgp/relationships.h"
 #include "bgp/risk_selection.h"
 #include "forecast/projection.h"
 #include "hazard/synthesis.h"
-#include "riskroute_api.h"
 #include "server/server.h"
 #include "topology/generator.h"
 #include "topology/geojson.h"
@@ -162,22 +162,13 @@ int CmdRoute(const Args& args) {
   std::fputs(response.body.c_str(), stdout);
 
   if (args.Has("latency-budget")) {
-    // CLI-only extra: the SLA picker needs the live graph, so it stays
-    // outside the api::Service body (snapshot boots cannot serve it).
-    if (!graph) {
-      throw InvalidArgument(
-          "--latency-budget needs the live graph; drop --engine-snapshot");
-    }
-    const auto require_pop = [&](const std::string& name) {
-      for (std::size_t i = 0; i < engine.node_count(); ++i) {
-        if (engine.node_name(i) == name) return i;
-      }
-      throw InvalidArgument("no PoP named '" + name + "' in this network");
-    };
+    // CLI-only extra outside the api::Service body: the SLA picker runs on
+    // the service's engine, between the endpoints the response resolved.
     const double budget = args.GetDouble("latency-budget", 1e9);
-    const core::MultiObjectiveRouter multi(*graph, ParamsFrom(args));
+    const core::MultiObjectiveRouter multi(engine);
     const auto pick = multi.MinRiskWithinLatency(
-        require_pop(request.from), require_pop(request.to), budget);
+        response.riskroute_path.front(), response.riskroute_path.back(),
+        budget);
     if (pick) {
       std::printf("%s: %.0f mi, %.0f bit-risk mi\n  ", "sla-pick ",
                   pick->miles, pick->bit_risk_miles);
@@ -304,32 +295,35 @@ int CmdStorm(const Args& args) {
   if (storm == "IRENE") track = &forecast::IreneTrack();
   if (storm == "KATRINA") track = &forecast::KatrinaTrack();
 
-  core::RiskGraph graph = study.BuildGraphFor(network);
+  // Frozen once; each advisory only re-planes the forecast risks.
+  core::RouteEngine engine(study.BuildGraphFor(network), ParamsFrom(args));
+  const std::size_t n = engine.node_count();
+  std::vector<std::size_t> everyone(n);
+  for (std::size_t i = 0; i < n; ++i) everyone[i] = i;
   util::ThreadPool pool(PoolThreads(args));
-  const core::RiskParams params = ParamsFrom(args);
   const double project_hours = args.GetDouble("project", 0.0);
 
   std::printf("%-30s %8s %10s\n", "advisory", "in-scope", "risk-ratio");
   const auto advisories = forecast::GenerateAdvisories(*track);
   for (std::size_t a = 0; a < advisories.size(); a += 4) {
-    std::vector<double> risks(graph.node_count());
+    std::vector<double> risks(n);
     std::size_t in_scope = 0;
     if (project_hours > 0) {
       const forecast::ConeRiskField cone(advisories[a],
                                          {0.0, project_hours / 2, project_hours});
-      for (std::size_t i = 0; i < graph.node_count(); ++i) {
-        risks[i] = cone.RiskAt(graph.node(i).location);
+      for (std::size_t i = 0; i < n; ++i) {
+        risks[i] = cone.RiskAt(engine.location(i));
         if (risks[i] > 0) ++in_scope;
       }
     } else {
       const forecast::ForecastRiskField field(advisories[a]);
-      for (std::size_t i = 0; i < graph.node_count(); ++i) {
-        risks[i] = field.RiskAt(graph.node(i).location);
+      for (std::size_t i = 0; i < n; ++i) {
+        risks[i] = field.RiskAt(engine.location(i));
         if (risks[i] > 0) ++in_scope;
       }
     }
-    graph.SetForecastRisks(risks);
-    const auto report = core::ComputeIntradomainRatios(graph, params, &pool);
+    engine.SetForecastRisks(risks);
+    const auto report = engine.ComputeRatios(everyone, everyone, &pool);
     std::printf("%-30s %8zu %10.3f\n",
                 advisories[a].time.ToString().c_str(), in_scope,
                 report.risk_reduction_ratio);
