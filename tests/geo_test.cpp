@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "geo/bounding_box.h"
 #include "geo/conus.h"
@@ -135,6 +136,13 @@ struct ConusCase {
   double lat, lon;
   bool inside;
 };
+
+// Without a printer gtest lists the parameter as raw bytes, starting with
+// the address of `name`, which moves with address-space randomisation and
+// would make the discovered ctest names differ from one build to the next.
+void PrintTo(const ConusCase& c, std::ostream* os) {
+  *os << (c.inside ? "inside" : "outside");
+}
 
 class ConusParamTest : public ::testing::TestWithParam<ConusCase> {};
 

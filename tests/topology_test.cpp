@@ -324,6 +324,11 @@ struct BadCorpusCase {
   const char* text;
 };
 
+// Without a printer gtest lists the parameter as raw bytes, i.e. the two
+// string addresses, which move with address-space randomisation and would
+// make the discovered ctest names differ from one build to the next.
+void PrintTo(const BadCorpusCase& c, std::ostream* os) { *os << c.label; }
+
 class SerializeErrors : public ::testing::TestWithParam<BadCorpusCase> {};
 
 TEST_P(SerializeErrors, RejectsMalformedInput) {
