@@ -30,12 +30,13 @@ void Reproduce() {
 
   std::vector<std::vector<double>> fractions(kTier1Names[0] != nullptr ? 7 : 7);
   for (std::size_t n = 0; n < 7; ++n) {
-    const core::RiskGraph graph = study.BuildGraphFor(kTier1Names[n]);
+    const core::RouteEngine engine(study.BuildGraphFor(kTier1Names[n]),
+                                   params);
     provision::AugmentationOptions options;
     options.links_to_add = kLinks;
-    options.candidates.max_candidates = graph.node_count() > 100 ? 50 : 250;
+    options.candidates.max_candidates = engine.node_count() > 100 ? 50 : 250;
     const provision::AugmentationResult result =
-        provision::GreedyAugment(graph, params, options, &pool);
+        provision::GreedyAugment(engine, options, &pool);
     fractions[n].assign(kLinks, 1.0);
     for (std::size_t s = 0; s < result.steps.size() && s < kLinks; ++s) {
       fractions[n][s] = result.steps[s].fraction_of_original;

@@ -22,14 +22,14 @@ void Reproduce() {
   const core::RiskParams params{1e5, 1e3};
 
   for (const char* name : {"Level3", "ATT", "Tinet"}) {
-    const core::RiskGraph graph = study.BuildGraphFor(name);
+    const core::RouteEngine engine(study.BuildGraphFor(name), params);
     provision::AugmentationOptions options;
     options.links_to_add = 10;
     // Bound the exact-objective sweep on the 233-PoP Level3 network.
     options.candidates.max_candidates =
-        graph.node_count() > 100 ? 60 : 300;
+        engine.node_count() > 100 ? 60 : 300;
     const provision::AugmentationResult result =
-        provision::GreedyAugment(graph, params, options, &pool);
+        provision::GreedyAugment(engine, options, &pool);
 
     std::cout << "\n" << name
               << util::Format(" (original aggregate bit-risk %.3g):\n",
@@ -39,8 +39,8 @@ void Reproduce() {
     for (std::size_t s = 0; s < result.steps.size(); ++s) {
       const auto& step = result.steps[s];
       table.Add(s + 1,
-                graph.node(step.link.a).name + " <-> " +
-                    graph.node(step.link.b).name,
+                engine.node_name(step.link.a) + " <-> " +
+                    engine.node_name(step.link.b),
                 step.link.direct_miles, step.fraction_of_original);
     }
     table.Render(std::cout);
@@ -61,9 +61,10 @@ BENCHMARK(BM_AggregateObjectiveSmall)->Unit(benchmark::kMillisecond);
 
 void BM_CandidateEnumerationTinet(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
-  static const core::RiskGraph graph = study.BuildGraphFor("Tinet");
+  static const core::RouteEngine engine(study.BuildGraphFor("Tinet"),
+                                        core::RiskParams{});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(provision::EnumerateCandidateLinks(graph));
+    benchmark::DoNotOptimize(provision::EnumerateCandidateLinks(engine));
   }
 }
 BENCHMARK(BM_CandidateEnumerationTinet)->Unit(benchmark::kMillisecond);

@@ -343,11 +343,7 @@ void BM_RouteAllPairsEngine(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
   static const core::RiskGraph graph = study.BuildGraphFor("Level3");
   static const core::RouteEngine engine(graph, kRouteBenchParams);
-  // On a single-core host the pool adds dispatch overhead without
-  // parallelism; run serial there so the pair measures the engine's
-  // algorithmic gain rather than scheduler noise.
-  util::ThreadPool* pool =
-      bench::SharedPool().thread_count() > 1 ? &bench::SharedPool() : nullptr;
+  util::ThreadPool* pool = &bench::SharedPool();
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.AggregateMinBitRisk(pool));
   }
@@ -396,8 +392,7 @@ BENCHMARK(BM_GreedyScanLegacy)->Unit(benchmark::kMillisecond);
 void BM_GreedyScanEngine(benchmark::State& state) {
   const GreedyScanFixture& fixture = SharedGreedyScanFixture();
   const core::EdgeOverlay none;
-  util::ThreadPool* pool =
-      bench::SharedPool().thread_count() > 1 ? &bench::SharedPool() : nullptr;
+  util::ThreadPool* pool = &bench::SharedPool();
   for (auto _ : state) {
     benchmark::DoNotOptimize(provision::ScanCandidateObjectives(
         fixture.engine, none, fixture.candidates, pool));

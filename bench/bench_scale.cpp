@@ -109,8 +109,7 @@ const ScaleFixture& Fixture() {
 
 void BM_ScaleManyToManyDijkstra(benchmark::State& state) {
   const ScaleFixture& f = Fixture();
-  util::ThreadPool* pool =
-      bench::SharedPool().thread_count() > 1 ? &bench::SharedPool() : nullptr;
+  util::ThreadPool* pool = &bench::SharedPool();
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.dijkstra_engine.ManyToMany(
         f.sources, f.targets, core::RouteMetric::kDistance, pool));
@@ -120,8 +119,7 @@ BENCHMARK(BM_ScaleManyToManyDijkstra)->Unit(benchmark::kMillisecond);
 
 void BM_ScaleManyToManyAlt(benchmark::State& state) {
   const ScaleFixture& f = Fixture();
-  util::ThreadPool* pool =
-      bench::SharedPool().thread_count() > 1 ? &bench::SharedPool() : nullptr;
+  util::ThreadPool* pool = &bench::SharedPool();
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.alt_engine.ManyToMany(
         f.sources, f.targets, core::RouteMetric::kDistance, pool));

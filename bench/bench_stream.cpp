@@ -73,11 +73,6 @@ const StreamFixture& Fixture() {
   return fixture;
 }
 
-util::ThreadPool* BenchPool() {
-  return bench::SharedPool().thread_count() > 1 ? &bench::SharedPool()
-                                                : nullptr;
-}
-
 // ---------------------------------------------------------------------------
 // Legacy side: what serving an advisory costs without the streaming
 // layer. Per advisory: full-plane ForecastRiskField pass, engine
@@ -85,7 +80,7 @@ util::ThreadPool* BenchPool() {
 
 void BM_StreamFullRebuild(benchmark::State& state) {
   const StreamFixture& f = Fixture();
-  util::ThreadPool* pool = BenchPool();
+  util::ThreadPool* pool = &bench::SharedPool();
   const std::size_t n = f.graph.node_count();
   core::RiskGraph graph = f.graph;  // mutable forecast plane
   std::vector<double> prev_brm(n * (n - 1) / 2,
@@ -111,11 +106,7 @@ void BM_StreamFullRebuild(benchmark::State& state) {
         if (ws.Reached(j)) brm[p] = ws.DistanceTo(j);
       }
     };
-    if (pool != nullptr) {
-      util::ParallelFor(*pool, n - 1, sweep_source);
-    } else {
-      for (std::size_t i = 0; i + 1 < n; ++i) sweep_source(i);
-    }
+    util::ParallelFor(pool, n - 1, sweep_source);
 
     std::size_t moved = 0;
     for (std::size_t p = 0; p < brm.size(); ++p) {
@@ -136,7 +127,7 @@ BENCHMARK(BM_StreamFullRebuild)->Unit(benchmark::kMillisecond);
 void BM_StreamIncremental(benchmark::State& state) {
   const StreamFixture& f = Fixture();
   forecast::StreamOptions options;
-  options.pool = BenchPool();
+  options.pool = &bench::SharedPool();
   forecast::StreamingReroute session(f.engine, options);  // seed untimed
   int number = 0;
   std::size_t k = 0;
@@ -153,7 +144,7 @@ BENCHMARK(BM_StreamIncremental)->Unit(benchmark::kMillisecond);
 void Reproduce() {
   const StreamFixture& f = Fixture();
   forecast::StreamOptions options;
-  options.pool = BenchPool();
+  options.pool = &bench::SharedPool();
   forecast::StreamingReroute session(f.engine, options);
   std::size_t recomputed = 0;
   std::size_t moved = 0;

@@ -38,9 +38,8 @@ int main(int argc, char** argv) {
   const core::RiskGraph graph = study.BuildGraphFor(network_name);
 
   // --- 1. Composite OSPF costs. ---
-  core::OspfExportOptions ospf_options;
-  ospf_options.params = core::RiskParams{1e5, 1e3};
-  const auto costs = core::ComputeOspfCosts(graph, ospf_options);
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 1e3});
+  const auto costs = core::ComputeOspfCosts(engine);
   std::printf("\n1. Composite OSPF costs for %s (%zu links; top 5 by cost):\n",
               network_name.c_str(), costs.size());
   auto sorted = costs;
@@ -53,8 +52,7 @@ int main(int argc, char** argv) {
   }
 
   // --- 2. IP-FRR coverage under the composite costs (routed at alpha 0). ---
-  const core::RouteEngine composite =
-      core::CompositeEngine(graph, ospf_options);
+  const core::RouteEngine composite = core::CompositeEngine(engine);
   const core::RoutingTable table = core::BuildRoutingTable(composite, 0.0);
   const auto lfas = core::ComputeLfas(composite, table);
   std::printf("\n2. IP Fast Reroute: %.1f%% of (src,dst) pairs have a "
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
   std::printf("\n4. Node-disjoint primary/backup between %s and %s "
               "(bit-risk objective):\n",
               graph.node(src).name.c_str(), graph.node(dst).name.c_str());
-  const core::RouteEngine engine(graph, core::RiskParams{1e5, 1e3});
   const auto pair =
       core::FindDisjointPair(engine, src, dst, engine.Alpha(src, dst),
                              core::Disjointness::kNodeDisjoint);

@@ -27,23 +27,23 @@ int main(int argc, char** argv) {
   const topology::Network& network = study.corpus().network(network_index);
 
   // --- Link augmentation (Eq 4). ---
-  const core::RiskGraph graph = study.BuildGraph(network_index);
+  const core::RouteEngine engine(study.BuildGraph(network_index), params);
   provision::AugmentationOptions options;
   options.links_to_add = links;
-  options.candidates.max_candidates = graph.node_count() > 100 ? 120 : 400;
+  options.candidates.max_candidates = engine.node_count() > 100 ? 120 : 400;
   std::printf("\nSearching the best %zu additional links for %s "
               "(%zu PoPs, %zu links)...\n",
               links, network_name.c_str(), network.pop_count(),
               network.link_count());
   const provision::AugmentationResult result =
-      provision::GreedyAugment(graph, params, options, &pool);
+      provision::GreedyAugment(engine, options, &pool);
   std::printf("Aggregate min bit-risk today: %.4g\n",
               result.original_bit_risk_miles);
   for (std::size_t s = 0; s < result.steps.size(); ++s) {
     const auto& step = result.steps[s];
     std::printf("  %zu. %s <-> %s  (%.0f mi)  -> %.2f%% of original risk\n",
-                s + 1, graph.node(step.link.a).name.c_str(),
-                graph.node(step.link.b).name.c_str(), step.link.direct_miles,
+                s + 1, engine.node_name(step.link.a).c_str(),
+                engine.node_name(step.link.b).c_str(), step.link.direct_miles,
                 100.0 * step.fraction_of_original);
   }
   if (result.steps.empty()) {
@@ -54,10 +54,11 @@ int main(int argc, char** argv) {
   if (network.kind() == topology::NetworkKind::kRegional) {
     std::printf("\nEvaluating new peering options for %s...\n",
                 network_name.c_str());
-    core::MergedGraph merged = study.BuildMerged();
+    const core::MergedGraph merged = study.BuildMerged();
     const provision::PeeringRecommendation recommendation =
-        provision::RecommendPeering(merged, study.corpus(), network_index,
-                                    params, 25.0, &pool);
+        provision::RecommendPeering(core::RouteEngine(merged.graph, params),
+                                    merged, study.corpus(), network_index,
+                                    25.0, &pool);
     if (recommendation.best() == nullptr) {
       std::puts("  (no co-located non-peer network found)");
     } else {

@@ -63,10 +63,6 @@ int FuzzArgs(const std::uint8_t* data, std::size_t size) {
     } catch (const InvalidArgument&) {
     }
   }
-
-  // The legacy lenient constructor must accept anything without throwing.
-  const cli::Args lenient(argc, argv.data(), 1);
-  (void)lenient.positional();
   return 0;
 }
 

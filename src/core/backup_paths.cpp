@@ -24,11 +24,7 @@ RoutingTable BuildRoutingTable(const RouteEngine& engine, double alpha,
       }
     }
   };
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, n, body);
-  } else {
-    for (std::size_t s = 0; s < n; ++s) body(s);
-  }
+  util::ParallelFor(pool, n, body);
   return table;
 }
 

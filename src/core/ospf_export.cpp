@@ -25,11 +25,8 @@ double EffectiveAlpha(const RouteEngine& engine,
 
 }  // namespace
 
-std::vector<OspfLinkCost> ComputeOspfCosts(const RiskGraph& graph,
+std::vector<OspfLinkCost> ComputeOspfCosts(const RouteEngine& engine,
                                            const OspfExportOptions& options) {
-  // The freeze precomputes every node score; the per-link composite is
-  // then plane loads instead of per-edge node lookups.
-  const RouteEngine engine(graph, options.params);
   const double alpha = EffectiveAlpha(engine, options);
   std::vector<OspfLinkCost> costs;
   for (std::size_t a = 0; a < engine.node_count(); ++a) {
@@ -56,29 +53,29 @@ std::vector<OspfLinkCost> ComputeOspfCosts(const RiskGraph& graph,
   return costs;
 }
 
-std::string RenderOspfConfig(const RiskGraph& graph,
+std::string RenderOspfConfig(const RouteEngine& engine,
                              const std::vector<OspfLinkCost>& costs) {
   std::ostringstream out;
   out << "! RiskRoute composite OSPF costs (miles + risk; see Section 3.1)\n";
   for (const OspfLinkCost& c : costs) {
-    out << "link \"" << graph.node(c.a).name << "\" \"" << graph.node(c.b).name
-        << "\" cost " << c.cost << '\n';
+    out << "link \"" << engine.node_name(c.a) << "\" \""
+        << engine.node_name(c.b) << "\" cost " << c.cost << '\n';
   }
   return out.str();
 }
 
-RouteEngine CompositeEngine(const RiskGraph& graph,
+RouteEngine CompositeEngine(const RouteEngine& engine,
                             const OspfExportOptions& options) {
   RiskGraph composite;
-  for (const RiskNode& node : graph.nodes()) {
-    composite.AddNode(RiskNode{node.name, node.location});
+  for (std::size_t v = 0; v < engine.node_count(); ++v) {
+    composite.AddNode(RiskNode{engine.node_name(v), engine.location(v)});
   }
   std::vector<WeightedLink> links;
-  for (const OspfLinkCost& c : ComputeOspfCosts(graph, options)) {
+  for (const OspfLinkCost& c : ComputeOspfCosts(engine, options)) {
     links.push_back(WeightedLink{c.a, c.b, c.composite_weight});
   }
   composite.AddEdgesUnchecked(links);
-  return RouteEngine(composite, options.params);
+  return RouteEngine(composite, engine.params());
 }
 
 }  // namespace riskroute::core

@@ -4,18 +4,16 @@
 // RiskRoute metric can be used directly in standard intra-domain routing
 // protocols such as OSPF or ISIS. ... The approach would simply be to
 // create link weights that are a composite metric based on operational
-// objectives and RiskRoute." This module turns a risk graph into such a
-// composite weight set: each link's cost combines its mileage with the
-// endpoint risk scores, scaled into the 16-bit integer range OSPF costs
-// live in, and renders a plain-text configuration snippet.
+// objectives and RiskRoute." This module turns a frozen risk graph into
+// such a composite weight set: each link's cost combines its mileage with
+// the endpoint risk scores, scaled into the 16-bit integer range OSPF
+// costs live in, and renders a plain-text configuration snippet.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/risk_graph.h"
-#include "core/risk_params.h"
 #include "core/route_engine.h"
 
 namespace riskroute::core {
@@ -28,31 +26,30 @@ struct OspfLinkCost {
   std::uint16_t cost = 1;         // quantized OSPF cost in [1, 65535]
 };
 
-/// Export options.
+/// Export options. The risk scaling (lambdas) is the engine's params; the
+/// node risk of both endpoints is averaged since a link cost cannot
+/// depend on direction.
 struct OspfExportOptions {
-  /// Risk scaling inside the composite weight; the node risk of both
-  /// endpoints is averaged since a link cost cannot depend on direction.
-  RiskParams params{1e5, 1e3};
   /// Effective impact scale replacing the pair-dependent alpha_ij (a link
   /// weight must be pair-independent); defaults to the mean alpha of a
   /// uniform pair, 2/N, computed automatically when <= 0.
   double alpha = 0.0;
 };
 
-/// Computes composite weights for every link and quantizes them into OSPF
-/// costs such that the largest weight maps to 65535 and proportions are
-/// preserved (minimum cost 1).
+/// Computes composite weights for every link of the frozen engine and
+/// quantizes them into OSPF costs such that the largest weight maps to
+/// 65535 and proportions are preserved (minimum cost 1).
 [[nodiscard]] std::vector<OspfLinkCost> ComputeOspfCosts(
-    const RiskGraph& graph, const OspfExportOptions& options = {});
+    const RouteEngine& engine, const OspfExportOptions& options = {});
 
 /// Renders "link <nameA> <nameB> cost <c>" lines (stable order).
 [[nodiscard]] std::string RenderOspfConfig(
-    const RiskGraph& graph, const std::vector<OspfLinkCost>& costs);
+    const RouteEngine& engine, const std::vector<OspfLinkCost>& costs);
 
-/// The graph's topology frozen with every link's (unquantized) composite
-/// weight as its mileage and all-zero risk planes, so routing the engine
-/// at alpha 0 simulates deploying the exported costs on the same graph.
-[[nodiscard]] RouteEngine CompositeEngine(const RiskGraph& graph,
-                                          const OspfExportOptions& options = {});
+/// The engine's topology frozen with every link's (unquantized) composite
+/// weight as its mileage and all-zero risk planes, so routing the result
+/// at alpha 0 simulates deploying the exported costs on the same network.
+[[nodiscard]] RouteEngine CompositeEngine(
+    const RouteEngine& engine, const OspfExportOptions& options = {});
 
 }  // namespace riskroute::core

@@ -65,15 +65,6 @@ struct SourceSums {
   std::size_t pairs = 0;
 };
 
-void Dispatch(util::ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
-
 }  // namespace
 
 RouteEngine::RouteEngine(const RiskGraph& graph, const RiskParams& params)
@@ -536,7 +527,7 @@ PairMatrix RouteEngine::ManyToMany(std::span<const std::size_t> sources,
   };
   // Rows are disjoint output slices: results are bitwise identical for
   // any thread count.
-  Dispatch(pool, m.rows, body);
+  util::ParallelFor(pool, m.rows, body);
   return m;
 }
 
@@ -577,7 +568,7 @@ RatioReport RouteEngine::ComputeRatios(std::span<const std::size_t> sources,
     }
     per_source[s] = sums;
   };
-  Dispatch(pool, sources.size(), body);
+  util::ParallelFor(pool, sources.size(), body);
 
   RatioReport report;
   double risk_sum = 0.0;
@@ -750,7 +741,7 @@ double RouteEngine::AggregateMinBitRisk(util::ThreadPool* pool,
     }
     per_source[i] = sum;
   };
-  Dispatch(pool, n, body);
+  util::ParallelFor(pool, n, body);
   double total = 0.0;
   for (const double v : per_source) total += v;
   return total;
@@ -772,7 +763,7 @@ double RouteEngine::SumMinBitRisk(std::span<const std::size_t> sources,
     }
     per_source[s] = sum;
   };
-  Dispatch(pool, sources.size(), body);
+  util::ParallelFor(pool, sources.size(), body);
   double total = 0.0;
   for (const double v : per_source) total += v;
   return total;

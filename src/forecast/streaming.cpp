@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <map>
 #include <utility>
@@ -47,15 +46,6 @@ struct StreamMetrics {
     return metrics;
   }
 };
-
-void Dispatch(util::ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr && pool->thread_count() > 1 && count > 1) {
-    util::ParallelFor(*pool, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
 
 std::vector<geo::GeoPoint> EngineLocations(const core::RouteEngine& engine) {
   std::vector<geo::GeoPoint> points;
@@ -205,7 +195,7 @@ StreamingReroute::StreamingReroute(const core::RouteEngine& engine,
       }
     }
   };
-  Dispatch(options_.pool, n >= 1 ? n - 1 : 0, seed_source);
+  util::ParallelFor(options_.pool, n >= 1 ? n - 1 : 0, seed_source);
 
   cur_brm_ = base_brm_;
   cur_digest_ = base_digest_;
@@ -382,7 +372,7 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     cur_path_[p] = ws.PathTo(dst);
     cur_digest_[p] = PathDigest(cur_path_[p]);
   };
-  Dispatch(options_.pool, affected.size(), reroute);
+  util::ParallelFor(options_.pool, affected.size(), reroute);
 
   // Serial diff + divergence rebuild in ascending pair order.
   RouteDiff diff;

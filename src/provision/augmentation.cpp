@@ -74,11 +74,7 @@ std::vector<double> ScanCandidateObjectives(
       }
     }
   };
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
+  util::ParallelFor(pool, n, body);
 
   std::vector<double> objectives(c_count, 0.0);
   for (const std::vector<double>& sums : per_source) {
@@ -142,14 +138,6 @@ AugmentationResult GreedyAugment(const core::RouteEngine& engine,
         best_objective / result.original_bit_risk_miles});
   }
   return result;
-}
-
-AugmentationResult GreedyAugment(const core::RiskGraph& graph,
-                                 const core::RiskParams& params,
-                                 const AugmentationOptions& options,
-                                 util::ThreadPool* pool) {
-  const core::RouteEngine engine(graph, params);
-  return GreedyAugment(engine, options, pool);
 }
 
 }  // namespace riskroute::provision

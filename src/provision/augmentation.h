@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/risk_graph.h"
-#include "core/risk_params.h"
 #include "core/route_engine.h"
 #include "provision/candidate_links.h"
 #include "util/thread_pool.h"
@@ -60,11 +58,5 @@ struct AugmentationOptions {
 [[nodiscard]] AugmentationResult GreedyAugment(
     const core::RouteEngine& engine, const AugmentationOptions& options,
     util::ThreadPool* pool = nullptr);
-
-/// Convenience overload: freezes `graph` under `params` first. The
-/// caller's graph is never copied or mutated.
-[[nodiscard]] AugmentationResult GreedyAugment(
-    const core::RiskGraph& graph, const core::RiskParams& params,
-    const AugmentationOptions& options, util::ThreadPool* pool = nullptr);
 
 }  // namespace riskroute::provision

@@ -26,11 +26,7 @@ std::vector<CandidateLink> EnumerateCandidateLinks(
       }
     }
   };
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
+  util::ParallelFor(pool, n, body);
 
   std::vector<CandidateLink> candidates;
   for (const auto& local : per_source) {
@@ -54,15 +50,6 @@ std::vector<CandidateLink> EnumerateCandidateLinks(
               return x.b < y.b;
             });
   return candidates;
-}
-
-std::vector<CandidateLink> EnumerateCandidateLinks(
-    const core::RiskGraph& graph, const CandidateOptions& options,
-    util::ThreadPool* pool) {
-  // The enumeration only touches the distance plane, so any valid params
-  // do; the freeze is O(N + E) against an O(N^2 log N) sweep.
-  const core::RouteEngine engine(graph, core::RiskParams{});
-  return EnumerateCandidateLinks(engine, options, pool);
 }
 
 }  // namespace riskroute::provision

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/risk_graph.h"
 #include "core/route_engine.h"
 #include "util/thread_pool.h"
 
@@ -39,11 +38,6 @@ struct CandidateOptions {
 /// the underlying all-pairs shortest-path sweep.
 [[nodiscard]] std::vector<CandidateLink> EnumerateCandidateLinks(
     const core::RouteEngine& engine, const CandidateOptions& options = {},
-    util::ThreadPool* pool = nullptr);
-
-/// Convenience overload: freezes `graph` (distance plane only) first.
-[[nodiscard]] std::vector<CandidateLink> EnumerateCandidateLinks(
-    const core::RiskGraph& graph, const CandidateOptions& options = {},
     util::ThreadPool* pool = nullptr);
 
 }  // namespace riskroute::provision

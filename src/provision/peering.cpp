@@ -79,16 +79,4 @@ PeeringRecommendation RecommendPeering(const core::RouteEngine& engine,
   return recommendation;
 }
 
-PeeringRecommendation RecommendPeering(const core::MergedGraph& merged,
-                                       const topology::Corpus& corpus,
-                                       std::size_t network_index,
-                                       const core::RiskParams& params,
-                                       double colocation_radius_miles,
-                                       util::ThreadPool* pool,
-                                       PeerScope scope) {
-  const core::RouteEngine engine(merged.graph, params);
-  return RecommendPeering(engine, merged, corpus, network_index,
-                          colocation_radius_miles, pool, scope);
-}
-
 }  // namespace riskroute::provision

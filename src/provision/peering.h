@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/interdomain.h"
-#include "core/risk_params.h"
 #include "core/route_engine.h"
 #include "topology/corpus.h"
 #include "util/thread_pool.h"
@@ -66,17 +65,10 @@ struct PeeringRecommendation {
 };
 
 /// Evaluates every candidate peer of `network_index` by layering its
-/// co-location edges over the frozen merged graph as an EdgeOverlay and
-/// recomputing the interdomain lower-bound objective (network PoPs -> all
-/// regional PoPs). The merged graph is never copied or mutated.
-[[nodiscard]] PeeringRecommendation RecommendPeering(
-    const core::MergedGraph& merged, const topology::Corpus& corpus,
-    std::size_t network_index, const core::RiskParams& params,
-    double colocation_radius_miles = 25.0, util::ThreadPool* pool = nullptr,
-    PeerScope scope = PeerScope::kTier1Only);
-
-/// Same, against an engine already frozen from `merged.graph` under the
-/// same params (saves the freeze when the caller holds one).
+/// co-location edges over `engine` (frozen from `merged.graph`) as an
+/// EdgeOverlay and recomputing the interdomain lower-bound objective
+/// (network PoPs -> all regional PoPs). The merged graph is never copied
+/// or mutated.
 [[nodiscard]] PeeringRecommendation RecommendPeering(
     const core::RouteEngine& engine, const core::MergedGraph& merged,
     const topology::Corpus& corpus, std::size_t network_index,

@@ -1,6 +1,6 @@
 // Request handlers: the thin adapter from decoded wire::Requests to
-// api::Service calls. One function, shared by the server's scheduler
-// workers and by tests that want handler behavior without sockets.
+// api::Service calls. One function, shared by the server's connection
+// threads and by tests that want handler behavior without sockets.
 #pragma once
 
 #include <string>

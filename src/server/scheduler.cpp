@@ -1,7 +1,6 @@
 #include "server/scheduler.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "obs/metrics.h"
 
@@ -40,78 +39,67 @@ struct Metrics {
 }  // namespace
 
 RequestScheduler::RequestScheduler(const SchedulerOptions& options)
-    : capacity_(options.queue_capacity) {
-  const std::size_t workers = std::max<std::size_t>(1, options.workers);
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    : slots_(std::max<std::size_t>(1, options.workers)),
+      capacity_(options.queue_capacity) {}
+
+RequestScheduler::Ticket RequestScheduler::Enter(Clock::time_point deadline) {
+  Metrics& metrics = Metrics::Get();
+  std::unique_lock lock(mutex_);
+  if (stopping_) return Ticket(*this, Admit::kStopped);
+  const bool must_wait = running_ >= slots_ || !line_.empty();
+  if (must_wait && line_.size() >= capacity_) {
+    metrics.rejected_full.Add();
+    return Ticket(*this, Admit::kQueueFull);
   }
+  metrics.submitted.Add();
+  if (must_wait) {
+    const std::uint64_t me = next_arrival_++;
+    line_.push_back(me);
+    metrics.queue_depth_peak.SetMax(static_cast<std::int64_t>(line_.size()));
+    const auto admissible = [&] {
+      return stopping_ || (running_ < slots_ && line_.front() == me);
+    };
+    bool admitted = true;
+    if (deadline == Clock::time_point::max()) {
+      cv_.wait(lock, admissible);  // wait_until(max) may overflow a clock cast
+    } else {
+      admitted = cv_.wait_until(lock, deadline, admissible);
+    }
+    line_.erase(std::find(line_.begin(), line_.end(), me));
+    cv_.notify_all();  // the next waiter may now be at the head
+    if (stopping_) {
+      metrics.cancelled.Add();
+      return Ticket(*this, Admit::kStopped);
+    }
+    if (!admitted) {
+      metrics.expired.Add();
+      return Ticket(*this, Admit::kExpired);
+    }
+  }
+  ++running_;
+  metrics.executed.Add();
+  return Ticket(*this, Admit::kRun);
 }
 
-RequestScheduler::~RequestScheduler() { Stop(); }
-
-RequestScheduler::Submit RequestScheduler::TrySubmit(
-    Task task, Clock::time_point deadline) {
+void RequestScheduler::Leave() {
   {
     std::lock_guard lock(mutex_);
-    if (stopping_) return Submit::kStopped;
-    if (queue_.size() >= capacity_ + (workers_.size() - busy_workers_)) {
-      Metrics::Get().rejected_full.Add();
-      return Submit::kQueueFull;
-    }
-    queue_.push_back(Item{std::move(task), deadline});
-    Metrics::Get().submitted.Add();
-    Metrics::Get().queue_depth_peak.SetMax(
-        static_cast<std::int64_t>(queue_.size()));
+    --running_;
   }
-  cv_.notify_one();
-  return Submit::kAccepted;
+  cv_.notify_all();
 }
 
 void RequestScheduler::Stop() {
-  std::deque<Item> cancelled;
   {
     std::lock_guard lock(mutex_);
-    if (stopping_ && queue_.empty() && workers_.empty()) return;
     stopping_ = true;
-    cancelled.swap(queue_);
   }
   cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  for (Item& item : cancelled) {
-    Metrics::Get().cancelled.Add();
-    item.task(TaskFate::kCancelled);
-  }
 }
 
-void RequestScheduler::WorkerLoop() {
-  for (;;) {
-    Item item;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;  // Stop() cancels the remaining queue itself
-      item = std::move(queue_.front());
-      queue_.pop_front();
-      ++busy_workers_;
-    }
-    const bool expired = item.deadline != Clock::time_point::max() &&
-                         Clock::now() > item.deadline;
-    if (expired) {
-      Metrics::Get().expired.Add();
-      item.task(TaskFate::kExpired);
-    } else {
-      Metrics::Get().executed.Add();
-      item.task(TaskFate::kRun);
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --busy_workers_;
-    }
-  }
+std::size_t RequestScheduler::waiting() const {
+  std::lock_guard lock(mutex_);
+  return line_.size();
 }
 
 }  // namespace riskroute::server

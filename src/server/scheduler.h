@@ -1,95 +1,98 @@
-// Bounded request scheduler with backpressure for riskroute_serverd.
+// Admission gate with backpressure for riskroute_serverd.
 //
-// Connections submit decoded requests as tasks; a fixed set of workers
-// drains them in FIFO order. The queue is bounded: a submit against a
-// full queue is rejected immediately (the connection replies
+// Each connection thread executes its own requests; the gate bounds how
+// many execute at once. A request runs immediately when a slot is free
+// and nobody is waiting; otherwise it waits in FIFO order, so requests
+// are admitted in arrival order. The wait line is bounded: an entry
+// against a full line is rejected immediately (the connection replies
 // Status::kOverloaded) instead of growing an unbounded backlog — the
-// reject-with-status backpressure contract. Every task carries an
-// optional deadline; a task whose deadline has passed by the time a
-// worker dequeues it is not executed (the connection replies
-// kDeadlineExceeded). Stop() cancels whatever is still queued, invoking
-// each task with TaskFate::kCancelled so waiting connections get their
-// kShuttingDown reply rather than a hung future.
+// reject-with-status backpressure contract. A waiter whose deadline
+// passes leaves at its deadline without executing (kDeadlineExceeded).
+// Stop() releases every waiter (kShuttingDown) and refuses later
+// entries; requests already running finish.
 //
 // Metrics (all volatile — queue occupancy depends on arrival timing):
 // server.scheduler.{submitted,rejected_full,executed,expired,cancelled}
-// counters and the server.scheduler.queue_depth_peak gauge.
+// counters and the server.scheduler.queue_depth_peak gauge, which counts
+// only requests that actually waited.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 namespace riskroute::server {
 
 struct SchedulerOptions {
-  /// Worker threads draining the queue. At least 1.
+  /// Requests executing at once. At least 1.
   std::size_t workers = 1;
-  /// Requests allowed to wait beyond the ones workers are executing.
-  /// 0 means a request is only accepted when a worker is idle.
+  /// Requests allowed to wait for a slot. 0 means a request is only
+  /// admitted when a slot is free.
   std::size_t queue_capacity = 64;
-};
-
-/// How a task left the scheduler.
-enum class TaskFate {
-  kRun,        // a worker executed it
-  kExpired,    // its deadline passed while queued; not executed
-  kCancelled,  // the scheduler stopped before a worker reached it
 };
 
 class RequestScheduler {
  public:
   using Clock = std::chrono::steady_clock;
-  /// A task observes its fate and must fulfil its reply either way.
-  using Task = std::function<void(TaskFate)>;
 
-  enum class Submit {
-    kAccepted,
+  enum class Admit {
+    kRun,        // a slot is held until the Ticket is destroyed
     kQueueFull,  // reply kOverloaded
+    kExpired,    // the deadline passed while waiting; reply kDeadlineExceeded
     kStopped,    // reply kShuttingDown
   };
 
+  /// The outcome of Enter(). A kRun ticket holds an execution slot and
+  /// releases it on destruction, so no exception path can leak one.
+  class [[nodiscard]] Ticket {
+   public:
+    ~Ticket() {
+      if (admit_ == Admit::kRun) gate_.Leave();
+    }
+    Ticket(const Ticket&) = delete;
+    Ticket& operator=(const Ticket&) = delete;
+
+    [[nodiscard]] Admit admit() const { return admit_; }
+
+   private:
+    friend class RequestScheduler;
+    Ticket(RequestScheduler& gate, Admit admit) : gate_(gate), admit_(admit) {}
+
+    RequestScheduler& gate_;
+    const Admit admit_;
+  };
+
   explicit RequestScheduler(const SchedulerOptions& options);
-  ~RequestScheduler();  // Stop() + join
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Non-blocking; kQueueFull when queued tasks == queue_capacity.
-  /// `deadline` of Clock::time_point::max() means none.
-  [[nodiscard]] Submit TrySubmit(Task task, Clock::time_point deadline);
+  /// Blocks until the request may run, its `deadline` passes, or Stop().
+  /// Never blocks when the line is full. `deadline` of
+  /// Clock::time_point::max() means none.
+  [[nodiscard]] Ticket Enter(Clock::time_point deadline);
 
-  /// Stops workers and cancels the remaining queue. Idempotent; blocks
-  /// until workers have joined and queued tasks saw kCancelled.
+  /// Releases every waiter with kStopped and refuses later entries.
+  /// Idempotent; does not wait for running requests.
   void Stop();
 
-  [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
-  [[nodiscard]] std::size_t queue_capacity() const { return capacity_; }
+  /// Requests currently waiting for a slot.
+  [[nodiscard]] std::size_t waiting() const;
 
  private:
-  struct Item {
-    Task task;
-    Clock::time_point deadline;
-  };
+  void Leave();
 
-  void WorkerLoop();
-
+  const std::size_t slots_;
   const std::size_t capacity_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Item> queue_;
-  /// Workers currently executing a task. Each non-busy worker can absorb
-  /// one task beyond the queue capacity (this is what makes capacity 0
-  /// mean "accept only when a worker is idle") — counted as busy from
-  /// dequeue to task completion, so a freshly constructed scheduler
-  /// accepts immediately even before its workers first park.
-  std::size_t busy_workers_ = 0;
+  /// Arrival numbers of the waiters, oldest first.
+  std::deque<std::uint64_t> line_;
+  std::uint64_t next_arrival_ = 0;
+  std::size_t running_ = 0;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace riskroute::server

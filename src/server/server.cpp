@@ -8,8 +8,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <future>
-#include <memory>
 #include <utility>
 
 #include "server/handlers.h"
@@ -141,19 +139,22 @@ void Server::Stop() {
   listen_fds_.clear();
 
   // 2. Sever live connections so their threads fall out of recv().
-  std::vector<std::thread> conn_threads;
+  std::list<Connection> connections;
   {
     std::lock_guard lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conn_threads.swap(conn_threads_);
-  }
-  for (std::thread& thread : conn_threads) {
-    if (thread.joinable()) thread.join();
+    for (const Connection& connection : connections_) {
+      if (!connection.done) ::shutdown(connection.fd, SHUT_RDWR);
+    }
+    connections.swap(connections_);
   }
 
-  // 3. Cancel the queued backlog (each task replies kShuttingDown to a
-  //    connection that is already gone; the sends fail harmlessly).
+  // 3. Release the requests waiting at the gate (each replies
+  //    kShuttingDown to a severed connection; the sends fail harmlessly).
+  //    This must precede the joins: a waiter does not watch its socket.
   scheduler_.Stop();
+
+  // 4. Join the connection threads; requests already running finish.
+  for (Connection& connection : connections) connection.thread.join();
 
   if (!options_.unix_path.empty()) ::unlink(options_.unix_path.c_str());
 }
@@ -170,12 +171,22 @@ void Server::AcceptLoop(int listen_fd) {
       return;
     }
     std::lock_guard lock(conn_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Reap finished connections so a long-lived daemon holds one thread
+    // per open connection, not one per connection ever accepted. A done
+    // thread never takes this lock again, so the join cannot deadlock.
+    connections_.remove_if([](Connection& connection) {
+      if (connection.done) connection.thread.join();
+      return connection.done;
+    });
+    Connection& connection = connections_.emplace_back();
+    connection.fd = fd;
+    connection.thread =
+        std::thread([this, &connection] { ServeConnection(connection); });
   }
 }
 
-void Server::ServeConnection(int fd) {
+void Server::ServeConnection(Connection& connection) {
+  const int fd = connection.fd;
   wire::FrameAssembler assembler(options_.limits);
   char buffer[16 * 1024];
   bool open = true;
@@ -202,8 +213,11 @@ void Server::ServeConnection(int fd) {
     }
   }
   {
+    // Once `done` is set Stop() leaves this fd alone, so closing it (and
+    // reuse of the fd number) cannot race a shutdown(). `connection` may
+    // be reaped from here on.
     std::lock_guard lock(conn_mutex_);
-    std::erase(conn_fds_, fd);
+    connection.done = true;
   }
   ::close(fd);
 }
@@ -232,44 +246,29 @@ bool Server::ServeFrame(int fd, const wire::Frame& frame) {
     return false;
   }
 
-  using Reply = std::pair<wire::Status, std::string>;
-  auto promise = std::make_shared<std::promise<Reply>>();
-  std::future<Reply> future = promise->get_future();
   const auto deadline =
       request.deadline_ms > 0
           ? RequestScheduler::Clock::now() +
                 std::chrono::milliseconds(request.deadline_ms)
           : RequestScheduler::Clock::time_point::max();
-
-  const auto submitted = scheduler_.TrySubmit(
-      [this, promise, request](TaskFate fate) {
-        switch (fate) {
-          case TaskFate::kRun:
-            promise->set_value(HandleRequest(service_, request));
-            break;
-          case TaskFate::kExpired:
-            promise->set_value(
-                {wire::Status::kDeadlineExceeded, "deadline exceeded\n"});
-            break;
-          case TaskFate::kCancelled:
-            promise->set_value(
-                {wire::Status::kShuttingDown, "server shutting down\n"});
-            break;
-        }
-      },
-      deadline);
-
-  switch (submitted) {
-    case RequestScheduler::Submit::kQueueFull:
-      return SendReply(fd, request.id, wire::Status::kOverloaded,
-                       "server queue is full\n");
-    case RequestScheduler::Submit::kStopped:
-      return SendReply(fd, request.id, wire::Status::kShuttingDown,
-                       "server shutting down\n");
-    case RequestScheduler::Submit::kAccepted:
-      break;
-  }
-  const Reply reply = future.get();
+  std::pair<wire::Status, std::string> reply;
+  {
+    const RequestScheduler::Ticket ticket = scheduler_.Enter(deadline);
+    switch (ticket.admit()) {
+      case RequestScheduler::Admit::kRun:
+        reply = HandleRequest(service_, request);
+        break;
+      case RequestScheduler::Admit::kQueueFull:
+        reply = {wire::Status::kOverloaded, "server queue is full\n"};
+        break;
+      case RequestScheduler::Admit::kExpired:
+        reply = {wire::Status::kDeadlineExceeded, "deadline exceeded\n"};
+        break;
+      case RequestScheduler::Admit::kStopped:
+        reply = {wire::Status::kShuttingDown, "server shutting down\n"};
+        break;
+    }
+  }  // the slot is free before the reply is sent
   return SendReply(fd, request.id, reply.first, reply.second);
 }
 

@@ -5,12 +5,14 @@
 // requests over a Unix-domain socket, a TCP loopback socket, or both. The
 // accept loop hands each connection to its own thread; a connection reads
 // frames through wire::FrameAssembler, decodes them with the defensive
-// wire limits, and executes them through the bounded RequestScheduler —
-// queue-full submits reply kOverloaded immediately, queued requests whose
-// deadline lapses reply kDeadlineExceeded without executing, and requests
-// still queued at shutdown reply kShuttingDown. Requests on one
-// connection are answered strictly in order; concurrency comes from
-// multiple connections sharing the scheduler's workers.
+// wire limits, and executes each request on its own thread once the
+// RequestScheduler admission gate lets it in — a full wait line replies
+// kOverloaded immediately, a waiter whose deadline lapses replies
+// kDeadlineExceeded without executing, and waiters still in line at
+// shutdown reply kShuttingDown. Requests on one connection are answered
+// strictly in order; concurrency comes from multiple connections, at most
+// `scheduler.workers` of them executing at once. The accept loop joins
+// finished connection threads as new connections arrive.
 //
 // Lifecycle: Start() binds and spawns the accept thread; WaitFor() lets a
 // driver poll for a wire-initiated shutdown (a kShutdownRequest frame)
@@ -22,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -64,8 +67,8 @@ class Server {
   /// the serving driver so process signals stay responsive.
   [[nodiscard]] bool WaitFor(std::chrono::milliseconds timeout);
 
-  /// Stops accepting, severs open connections, cancels the queued
-  /// backlog, joins every thread. Idempotent.
+  /// Stops accepting, severs open connections, releases the requests
+  /// waiting at the gate, joins every thread. Idempotent.
   void Stop();
 
   /// The TCP port actually bound (resolves port 0); -1 without TCP.
@@ -79,8 +82,14 @@ class Server {
   }
 
  private:
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    bool done = false;  // set by the connection thread as it exits
+  };
+
   void AcceptLoop(int listen_fd);
-  void ServeConnection(int fd);
+  void ServeConnection(Connection& connection);
   /// Decodes + executes one request frame; writes the reply. Returns
   /// false when the connection must close (protocol error, send failure,
   /// or a shutdown frame).
@@ -98,8 +107,8 @@ class Server {
   std::vector<std::thread> accept_threads_;
 
   std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  /// Live connections; list nodes stay put while their threads run.
+  std::list<Connection> connections_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> requests_served_{0};

@@ -46,7 +46,7 @@ enum class FrameKind : std::uint16_t {
   kRatiosRequest = 2,
   kEnsembleRequest = 3,
   kProvisionRequest = 4,
-  // Testing/ops aid: the server's worker sleeps delay_ms then answers
+  // Testing/ops aid: the server sleeps delay_ms then answers
   // "pong" — the knob the backpressure and deadline tests turn.
   kPingRequest = 5,
   kShutdownRequest = 6,
@@ -67,7 +67,7 @@ enum class Status : std::uint16_t {
   kOk = 0,
   kBadRequest = 1,        // undecodable payload, unknown PoP, bad field
   kOverloaded = 2,        // scheduler queue full — retry later
-  kDeadlineExceeded = 3,  // expired before a worker picked it up
+  kDeadlineExceeded = 3,  // expired while waiting for a slot
   kInternal = 4,          // handler threw something unexpected
   kShuttingDown = 5,      // server stopping; request was not executed
 };

@@ -55,15 +55,6 @@ struct EnsembleMetrics {
   }
 };
 
-void Dispatch(util::ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
-
 /// Shortest-double round trip: every finite double survives %.17g.
 void AppendDouble(std::string& out, double v) {
   char buf[32];
@@ -188,7 +179,7 @@ EnsembleEngine::EnsembleEngine(const core::RouteEngine& engine,
   baseline_dist_.assign(pairs, kInf);
   mask_words_ = (edges_.size() + 63) / 64;
   pair_path_mask_.assign(pairs * mask_words_, 0);
-  Dispatch(pool, n, [&](std::size_t i) {
+  util::ParallelFor(pool, n, [&](std::size_t i) {
     thread_local core::DijkstraWorkspace workspace;
     for (std::size_t j = i + 1; j < n; ++j) {
       engine.Run(workspace, i, engine.Alpha(i, j), j);
@@ -445,7 +436,7 @@ ScenarioOutcome EnsembleEngine::Evaluate(const Scenario& scenario) const {
 std::vector<ScenarioOutcome> EnsembleEngine::EvaluateScenarios(
     std::span<const std::uint64_t> ids, util::ThreadPool* pool) const {
   std::vector<ScenarioOutcome> outcomes(ids.size());
-  Dispatch(pool, ids.size(), [&](std::size_t s) {
+  util::ParallelFor(pool, ids.size(), [&](std::size_t s) {
     outcomes[s] = Evaluate(Draw(ids[s]));
   });
   return outcomes;

@@ -49,11 +49,7 @@ PathSets PrecomputePaths(const core::RouteEngine& engine, bool risk_aware,
       }
     }
   };
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
+  util::ParallelFor(pool, n, body);
 
   PathSets sets;
   sets.offsets.resize(n * n + 1, 0);

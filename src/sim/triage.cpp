@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
 
 #include "hazard/seasonal.h"
@@ -51,15 +50,6 @@ struct TriageMetrics {
     return metrics;
   }
 };
-
-void Dispatch(util::ThreadPool* pool, std::size_t count,
-              const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr) {
-    util::ParallelFor(*pool, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
 
 /// Shortest-double round trip: every finite double survives %.17g.
 void AppendDouble(std::string& out, double v) {
@@ -310,7 +300,7 @@ TriagedReport TriagedEnsemble::Run(std::span<const std::uint64_t> ids,
 
   // Stage 1 — deterministic features for every id, per-slot parallel.
   std::vector<Features> features(n);
-  Dispatch(pool, n, [&](std::size_t s) {
+  util::ParallelFor(pool, n, [&](std::size_t s) {
     features[s] = FeaturesFor(engine_->Draw(universe[s]));
   });
 

@@ -116,12 +116,7 @@ BandwidthSelection SelectBandwidth(const std::vector<geo::GeoPoint>& events,
     cell_scores[t] = FoldScore(train[fold], eval[fold], candidates[cand],
                                options.density_floor);
   };
-  if (options.pool != nullptr && options.pool->thread_count() > 1 &&
-      cells > 1) {
-    util::ParallelFor(*options.pool, cells, score_cell);
-  } else {
-    for (std::size_t t = 0; t < cells; ++t) score_cell(t);
-  }
+  util::ParallelFor(options.pool, cells, score_cell);
 
   BandwidthSelection selection;
   selection.scores.reserve(candidates.size());

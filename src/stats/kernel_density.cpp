@@ -190,13 +190,9 @@ std::vector<double> KernelDensity2D::Raster(const geo::BoundingBox& bounds,
     }
     EvaluateBatch(centers, std::span<double>(grid.data() + r * cols, cols));
   };
-  if (pool != nullptr && pool->thread_count() > 1 && rows > 1) {
-    // Each row writes a disjoint slice and every cell is an independent
-    // query, so the result is bitwise identical for any thread count.
-    util::ParallelFor(*pool, rows, evaluate_row);
-  } else {
-    for (std::size_t r = 0; r < rows; ++r) evaluate_row(r);
-  }
+  // Each row writes a disjoint slice and every cell is an independent
+  // query, so the result is bitwise identical for any thread count.
+  util::ParallelFor(pool, rows, evaluate_row);
   return grid;
 }
 

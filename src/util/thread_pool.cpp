@@ -83,17 +83,27 @@ void ThreadPool::WorkerLoop() {
   if (busy_ns != 0) metrics.busy_ns.Record(busy_ns);
 }
 
-void ParallelFor(ThreadPool& pool, std::size_t count,
+void ParallelFor(ThreadPool* pool, std::size_t count,
                  const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
+  if (pool == nullptr || pool->thread_count() <= 1 || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        body(i);
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
-  const std::size_t workers = std::min(count, pool.thread_count());
+  const std::size_t workers = std::min(count, pool->thread_count());
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.Submit([&] {
+    futures.push_back(pool->Submit([&] {
       while (true) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;

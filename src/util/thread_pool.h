@@ -62,8 +62,11 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [0, count) across the pool, blocking until all
-/// iterations complete. Exceptions from body propagate (first one wins).
-void ParallelFor(ThreadPool& pool, std::size_t count,
+/// iterations complete. Runs the loop on the calling thread, in index
+/// order, when `pool` is null, has one worker, or count <= 1. Every
+/// iteration runs; the first exception caught is rethrown afterwards
+/// (on the calling thread, the one at the lowest index).
+void ParallelFor(ThreadPool* pool, std::size_t count,
                  const std::function<void(std::size_t)>& body);
 
 }  // namespace riskroute::util

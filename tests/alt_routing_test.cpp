@@ -17,6 +17,7 @@
 #include "core/risk_params.h"
 #include "core/route_engine.h"
 #include "geo/geo_point.h"
+#include "tests/graph_fixtures.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -31,41 +32,10 @@ using core::RiskNode;
 using core::RiskParams;
 using core::RouteEngine;
 using core::RouteMetric;
+using fixtures::RandomGraph;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr RiskParams kParams{1e5, 1e3};
-
-/// Random connected geometric graph with random risk attributes (same
-/// construction as route_engine_test.cpp's RandomGraph).
-RiskGraph RandomGraph(std::size_t n, double extra_edge_prob, util::Rng& rng) {
-  RiskGraph graph;
-  std::vector<double> fractions(n);
-  double fraction_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    fractions[i] = rng.Uniform(0.01, 1.0);
-    fraction_sum += fractions[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "n" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        fractions[i] / fraction_sum, rng.Uniform(0.0, 0.5),
-        rng.Chance(0.3) ? rng.Uniform(0.0, 100.0) : 0.0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(
-               rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!graph.HasEdge(i, j) && rng.Chance(extra_edge_prob)) {
-        graph.AddEdgeByDistance(i, j);
-      }
-    }
-  }
-  return graph;
-}
 
 void ExpectBitwiseEqual(const PairMatrix& a, const PairMatrix& b) {
   ASSERT_EQ(a.rows, b.rows);

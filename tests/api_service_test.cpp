@@ -17,7 +17,7 @@
 #include "core/route_engine.h"
 #include "geo/geo_point.h"
 #include "provision/augmentation.h"
-#include "util/rng.h"
+#include "tests/graph_fixtures.h"
 #include "util/thread_pool.h"
 
 namespace riskroute {
@@ -27,27 +27,9 @@ using core::RiskGraph;
 using core::RiskNode;
 using core::RiskParams;
 using core::RouteEngine;
+using fixtures::SampleGraph;
 
 constexpr RiskParams kParams{1e5, 1e3};
-
-RiskGraph SampleGraph(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  RiskGraph graph;
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "pop-" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        rng.Uniform(0.01, 1.0), rng.Uniform(0.0, 0.5),
-        rng.Chance(0.5) ? rng.Uniform(0.0, 50.0) : 0.0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(
-               rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i + 3 < n; i += 3) graph.AddEdgeByDistance(i, i + 3);
-  return graph;
-}
 
 api::Service MakeService(const RiskGraph& graph,
                          const api::ServiceOptions& options = {}) {
@@ -191,10 +173,10 @@ TEST(ApiServiceTest, RatiosMatchesIntradomainSweepBitwise) {
   const core::RatioReport direct =
       core::RouteEngine(graph, kParams).ComputeRatios(everyone, everyone, &pool);
   EXPECT_EQ(response.pops, graph.node_count());
-  EXPECT_DOUBLE_EQ(response.report.risk_reduction_ratio,
-                   direct.risk_reduction_ratio);
-  EXPECT_DOUBLE_EQ(response.report.distance_increase_ratio,
-                   direct.distance_increase_ratio);
+  EXPECT_EQ(response.report.risk_reduction_ratio, direct.risk_reduction_ratio);
+  EXPECT_EQ(response.report.distance_increase_ratio,
+            direct.distance_increase_ratio);
+  EXPECT_EQ(response.report.pair_count, direct.pair_count);
   EXPECT_NE(response.body.find("snapshot"), std::string::npos);
 }
 
@@ -282,7 +264,8 @@ TEST(ApiServiceTest, ProvisionMatchesGraphOverloadPath) {
   provision::AugmentationOptions aug;
   aug.links_to_add = 2;
   aug.candidates.max_candidates = graph.node_count() > 100 ? 120 : 400;
-  const auto direct = provision::GreedyAugment(graph, kParams, aug, &pool);
+  const auto direct =
+      provision::GreedyAugment(RouteEngine(graph, kParams), aug, &pool);
   ASSERT_EQ(response.result.steps.size(), direct.steps.size());
   EXPECT_DOUBLE_EQ(response.result.original_bit_risk_miles,
                    direct.original_bit_risk_miles);

@@ -35,7 +35,9 @@ RiskGraph Diamond() {
 }
 
 /// The Diamond frozen for plain-distance routing (alpha = 0).
-RouteEngine DiamondEngine() { return RouteEngine(Diamond(), RiskParams{}); }
+RouteEngine DiamondEngine(const RiskParams& params = {}) {
+  return RouteEngine(Diamond(), params);
+}
 
 // ---------- k shortest paths ----------
 
@@ -245,9 +247,11 @@ TEST(BackupPaths, NodeBypassNulloptWhenArticulation) {
 
 // ---------- ospf export ----------
 
+constexpr RiskParams kOspfParams{1e5, 1e3};
+
 TEST(OspfExport, CostsCoverEveryLinkOnce) {
   const RiskGraph graph = Diamond();
-  const auto costs = ComputeOspfCosts(graph);
+  const auto costs = ComputeOspfCosts(DiamondEngine(kOspfParams));
   EXPECT_EQ(costs.size(), 5u);  // five undirected links
   for (const OspfLinkCost& c : costs) {
     EXPECT_LT(c.a, c.b);
@@ -258,10 +262,7 @@ TEST(OspfExport, CostsCoverEveryLinkOnce) {
 }
 
 TEST(OspfExport, RiskRaisesCost) {
-  const RiskGraph graph = Diamond();
-  OspfExportOptions options;
-  options.params = RiskParams{1e5, 0};
-  const auto costs = ComputeOspfCosts(graph, options);
+  const auto costs = ComputeOspfCosts(DiamondEngine(RiskParams{1e5, 0}));
   // The two diamond arms have similar mileage; the risky arm's links must
   // cost more than the safe arm's.
   double risky_cost = 0, safe_cost = 0;
@@ -277,17 +278,16 @@ TEST(OspfExport, RiskRaisesCost) {
 }
 
 TEST(OspfExport, MaxWeightMapsToMaxCost) {
-  const RiskGraph graph = Diamond();
-  const auto costs = ComputeOspfCosts(graph);
+  const auto costs = ComputeOspfCosts(DiamondEngine(kOspfParams));
   std::uint16_t max_cost = 0;
   for (const OspfLinkCost& c : costs) max_cost = std::max(max_cost, c.cost);
   EXPECT_EQ(max_cost, 65535u);
 }
 
 TEST(OspfExport, ConfigRendersEveryLink) {
-  const RiskGraph graph = Diamond();
-  const auto costs = ComputeOspfCosts(graph);
-  const std::string config = RenderOspfConfig(graph, costs);
+  const RouteEngine engine = DiamondEngine(kOspfParams);
+  const auto costs = ComputeOspfCosts(engine);
+  const std::string config = RenderOspfConfig(engine, costs);
   EXPECT_NE(config.find("\"S\""), std::string::npos);
   EXPECT_NE(config.find("cost "), std::string::npos);
   std::size_t lines = 0;
@@ -300,15 +300,13 @@ TEST(OspfExport, ConfigRendersEveryLink) {
 TEST(OspfExport, CompositeWeightShiftsShortestPaths) {
   // Under pure distance, S->M goes through the risky arm; under the
   // composite weight with large lambda it must switch to the safe arm.
-  const RiskGraph graph = Diamond();
+  const RouteEngine engine = DiamondEngine(RiskParams{1e6, 0});
   OspfExportOptions options;
-  options.params = RiskParams{1e6, 0};
   options.alpha = 0.5;
-  const auto risk_path = CompositeEngine(graph, options).FindPath(0, 3, 0.0);
+  const auto risk_path = CompositeEngine(engine, options).FindPath(0, 3, 0.0);
   ASSERT_TRUE(risk_path.has_value());
   EXPECT_EQ(*risk_path, (Path{0, 2, 3}));
   // Plain distance is a frozen-plane weight; the engine owns that query.
-  const RouteEngine engine(graph, options.params);
   const auto plain = engine.FindPath(0, 3, /*alpha=*/0.0);
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(*plain, (Path{0, 1, 3}));

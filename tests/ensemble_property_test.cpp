@@ -19,6 +19,7 @@
 #include "hazard/synthesis.h"
 #include "obs/metrics.h"
 #include "sim/ensemble.h"
+#include "tests/graph_fixtures.h"
 #include "util/error.h"
 #include "util/philox.h"
 #include "util/rng.h"
@@ -28,13 +29,13 @@ namespace riskroute {
 namespace {
 
 using core::RiskGraph;
-using core::RiskNode;
 using core::RouteEngine;
 using sim::EnsembleEngine;
 using sim::EnsembleOptions;
 using sim::EnsembleReport;
 using sim::Scenario;
 using sim::ScenarioOutcome;
+using fixtures::RandomGraph;
 
 // ---------------------------------------------------------------------------
 // Philox4x32-10 known-answer tests (Random123 kat_vectors): the generator
@@ -98,36 +99,6 @@ TEST(PhiloxTest, UniformAndIndexRanges) {
 // Ensemble engine fixture: a random connected geometric graph over the
 // continental US (so the synthesized hazard catalogs intersect it) and a
 // frozen route engine.
-
-RiskGraph RandomGraph(std::size_t n, double extra_edge_prob, util::Rng& rng) {
-  RiskGraph graph;
-  std::vector<double> fractions(n);
-  double fraction_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    fractions[i] = rng.Uniform(0.01, 1.0);
-    fraction_sum += fractions[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "n" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        fractions[i] / fraction_sum, rng.Uniform(0.0, 0.5),
-        rng.Chance(0.3) ? rng.Uniform(0.0, 100.0) : 0.0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(
-               rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!graph.HasEdge(i, j) && rng.Chance(extra_edge_prob)) {
-        graph.AddEdgeByDistance(i, j);
-      }
-    }
-  }
-  return graph;
-}
 
 struct EnsembleFixture {
   RiskGraph graph;

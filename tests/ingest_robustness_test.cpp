@@ -512,18 +512,6 @@ TEST(CliArgs, BoolFlagWithInlineValueIsBadValue) {
   EXPECT_EQ(result.error().kind, ParseErrorKind::kBadValue);
 }
 
-TEST(CliArgs, LegacyLenientConstructorIsUnchanged) {
-  // Ad-hoc tooling still gets the guessing parser: unknown flags pass,
-  // and a value flag followed by "--..." stays boolean-with-empty-value.
-  std::vector<std::string> tokens = {"riskroute", "--anything", "goes",
-                                     "--metrics-out", "--json"};
-  auto argv = Argv(tokens);
-  const cli::Args args(static_cast<int>(argv.size()), argv.data(), 1);
-  EXPECT_EQ(args.GetOr("anything", ""), "goes");
-  EXPECT_EQ(args.GetOr("metrics-out", "unset"), "");
-  EXPECT_TRUE(args.Has("json"));
-}
-
 // ---------------------------------------------------------------------------
 // Ingest metrics: accepted/rejected counts surface through the PR-3
 // registry under ingest.<source>.*.

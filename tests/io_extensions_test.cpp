@@ -247,11 +247,16 @@ TEST(RiskSelection, WithinClassLowerRiskWins) {
 // ---------- CLI args ----------
 
 TEST(Args, ParsesOptionsAndPositionals) {
-  // A flag followed by another "--" option stays boolean; a flag followed
-  // by a bare token consumes it as a value, so positionals go first.
+  // A declared value flag consumes the next token; a declared boolean
+  // never does.
   const char* argv[] = {"prog", "route",   "extra", "--network",
                         "Level3", "--geojson", "--lambda-h", "1e5"};
-  const cli::Args args(8, const_cast<char**>(argv), 2);
+  cli::FlagRegistry flags;
+  flags.Value("network").Value("lambda-h").Bool("geojson");
+  const auto parsed =
+      cli::Args::Parse(8, const_cast<char**>(argv), 2, flags);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().Render();
+  const cli::Args& args = parsed.value();
   EXPECT_EQ(args.GetOr("network", "x"), "Level3");
   EXPECT_TRUE(args.Has("geojson"));
   EXPECT_DOUBLE_EQ(args.GetDouble("lambda-h", 0), 1e5);
@@ -262,9 +267,13 @@ TEST(Args, ParsesOptionsAndPositionals) {
 
 TEST(Args, NumericValidation) {
   const char* argv[] = {"prog", "cmd", "--trials", "abc"};
-  const cli::Args args(4, const_cast<char**>(argv), 2);
-  EXPECT_THROW((void)args.GetSize("trials", 1), InvalidArgument);
-  EXPECT_THROW((void)args.GetDouble("trials", 1.0), InvalidArgument);
+  cli::FlagRegistry flags;
+  flags.Value("trials");
+  const auto parsed =
+      cli::Args::Parse(4, const_cast<char**>(argv), 2, flags);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().Render();
+  EXPECT_THROW((void)parsed.value().GetSize("trials", 1), InvalidArgument);
+  EXPECT_THROW((void)parsed.value().GetDouble("trials", 1.0), InvalidArgument);
 }
 
 }  // namespace

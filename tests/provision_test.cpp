@@ -37,7 +37,8 @@ RiskGraph ChainGraph() {
 
 TEST(CandidateLinks, FindsTheObviousClosure) {
   const RiskGraph graph = ChainGraph();
-  const auto candidates = EnumerateCandidateLinks(graph);
+  const core::RouteEngine engine(graph, RiskParams{});
+  const auto candidates = EnumerateCandidateLinks(engine);
   // 0 <-> 4 must qualify: the direct line is far below half the chain.
   bool found = false;
   for (const CandidateLink& c : candidates) {
@@ -50,7 +51,8 @@ TEST(CandidateLinks, FindsTheObviousClosure) {
 
 TEST(CandidateLinks, AdjacentPairsNeverCandidates) {
   const RiskGraph graph = ChainGraph();
-  for (const CandidateLink& c : EnumerateCandidateLinks(graph)) {
+  const core::RouteEngine engine(graph, RiskParams{});
+  for (const CandidateLink& c : EnumerateCandidateLinks(engine)) {
     EXPECT_FALSE(graph.HasEdge(c.a, c.b));
     EXPECT_LT(c.a, c.b);
   }
@@ -58,23 +60,25 @@ TEST(CandidateLinks, AdjacentPairsNeverCandidates) {
 
 TEST(CandidateLinks, ThresholdIsRespected) {
   const RiskGraph graph = ChainGraph();
+  const core::RouteEngine engine(graph, RiskParams{});
   CandidateOptions strict;
   strict.min_mile_reduction = 0.95;  // near-impossible saving
-  EXPECT_TRUE(EnumerateCandidateLinks(graph, strict).empty());
+  EXPECT_TRUE(EnumerateCandidateLinks(engine, strict).empty());
   CandidateOptions loose;
   loose.min_mile_reduction = 0.05;
-  EXPECT_GE(EnumerateCandidateLinks(graph, loose).size(),
-            EnumerateCandidateLinks(graph).size());
+  EXPECT_GE(EnumerateCandidateLinks(engine, loose).size(),
+            EnumerateCandidateLinks(engine).size());
 }
 
 TEST(CandidateLinks, MaxCandidatesKeepsBiggestSavers) {
   const RiskGraph graph = ChainGraph();
+  const core::RouteEngine engine(graph, RiskParams{});
   CandidateOptions options;
   options.min_mile_reduction = 0.05;
-  const auto all = EnumerateCandidateLinks(graph, options);
+  const auto all = EnumerateCandidateLinks(engine, options);
   ASSERT_GE(all.size(), 2u);
   options.max_candidates = 1;
-  const auto capped = EnumerateCandidateLinks(graph, options);
+  const auto capped = EnumerateCandidateLinks(engine, options);
   ASSERT_EQ(capped.size(), 1u);
   double best_saving = 0.0;
   for (const CandidateLink& c : all) {
@@ -90,7 +94,7 @@ TEST(Augmentation, SingleLinkReducesObjective) {
   AugmentationOptions options;
   options.links_to_add = 1;
   const AugmentationResult result =
-      GreedyAugment(graph, RiskParams{1e4, 0}, options);
+      GreedyAugment(core::RouteEngine(graph, RiskParams{1e4, 0}), options);
   ASSERT_EQ(result.steps.size(), 1u);
   EXPECT_LT(result.steps[0].bit_risk_miles, result.original_bit_risk_miles);
   EXPECT_LT(result.steps[0].fraction_of_original, 1.0);
@@ -103,7 +107,7 @@ TEST(Augmentation, GreedyStepsMonotoneDecreasing) {
   options.links_to_add = 3;
   options.candidates.min_mile_reduction = 0.2;
   const AugmentationResult result =
-      GreedyAugment(graph, RiskParams{1e4, 0}, options);
+      GreedyAugment(core::RouteEngine(graph, RiskParams{1e4, 0}), options);
   double previous = result.original_bit_risk_miles;
   for (const AugmentationStep& step : result.steps) {
     EXPECT_LT(step.bit_risk_miles, previous + 1e-9);
@@ -117,11 +121,12 @@ TEST(Augmentation, FirstLinkIsTheBestSingleAddition) {
   AugmentationOptions options;
   options.links_to_add = 1;
   options.candidates.min_mile_reduction = 0.2;
-  const AugmentationResult result = GreedyAugment(graph, params, options);
+  const core::RouteEngine engine(graph, params);
+  const AugmentationResult result = GreedyAugment(engine, options);
   ASSERT_EQ(result.steps.size(), 1u);
   // Exhaustively verify optimality over the candidate set (Eq 4).
   for (const CandidateLink& c :
-       EnumerateCandidateLinks(graph, options.candidates)) {
+       EnumerateCandidateLinks(engine, options.candidates)) {
     RiskGraph probe = graph;
     probe.AddEdge(c.a, c.b, c.direct_miles);
     EXPECT_GE(core::RouteEngine(probe, params).AggregateMinBitRisk(),
@@ -134,7 +139,7 @@ TEST(Augmentation, CallerGraphUnchanged) {
   const std::size_t edges_before = graph.directed_edge_count();
   AugmentationOptions options;
   options.links_to_add = 2;
-  (void)GreedyAugment(graph, RiskParams{1e4, 0}, options);
+  (void)GreedyAugment(core::RouteEngine(graph, RiskParams{1e4, 0}), options);
   EXPECT_EQ(graph.directed_edge_count(), edges_before);
 }
 
@@ -150,7 +155,7 @@ TEST(Augmentation, StopsWhenNoCandidateHelps) {
   AugmentationOptions options;
   options.links_to_add = 5;
   const AugmentationResult result =
-      GreedyAugment(graph, RiskParams{1e4, 0}, options);
+      GreedyAugment(core::RouteEngine(graph, RiskParams{1e4, 0}), options);
   EXPECT_TRUE(result.steps.empty());
 }
 
@@ -158,8 +163,9 @@ TEST(Augmentation, Validation) {
   const RiskGraph graph = ChainGraph();
   AugmentationOptions options;
   options.links_to_add = 0;
-  EXPECT_THROW((void)GreedyAugment(graph, RiskParams{}, options),
-               InvalidArgument);
+  EXPECT_THROW(
+      (void)GreedyAugment(core::RouteEngine(graph, RiskParams{}), options),
+      InvalidArgument);
 }
 
 // ---------- peering ----------
@@ -252,7 +258,8 @@ TEST(Peering, RecommendationImprovesObjective) {
   PeeringFixture f;
   core::MergedGraph merged = core::BuildMergedGraph(f.corpus, f.impacts, *f.field);
   const auto recommendation =
-      RecommendPeering(merged, f.corpus, 2, RiskParams{1e5, 0});
+      RecommendPeering(core::RouteEngine(merged.graph, RiskParams{1e5, 0}),
+                       merged, f.corpus, 2);
   ASSERT_NE(recommendation.best(), nullptr);
   EXPECT_EQ(recommendation.best()->peer.network, 0u);
   EXPECT_LE(recommendation.best()->objective,
@@ -263,7 +270,8 @@ TEST(Peering, MergedGraphRestoredAfterEvaluation) {
   PeeringFixture f;
   core::MergedGraph merged = core::BuildMergedGraph(f.corpus, f.impacts, *f.field);
   const std::size_t edges_before = merged.graph.directed_edge_count();
-  (void)RecommendPeering(merged, f.corpus, 2, RiskParams{1e5, 0});
+  (void)RecommendPeering(core::RouteEngine(merged.graph, RiskParams{1e5, 0}),
+                         merged, f.corpus, 2);
   EXPECT_EQ(merged.graph.directed_edge_count(), edges_before);
 }
 
@@ -271,7 +279,8 @@ TEST(Peering, EvaluationsSortedByObjective) {
   PeeringFixture f;
   core::MergedGraph merged = core::BuildMergedGraph(f.corpus, f.impacts, *f.field);
   const auto recommendation =
-      RecommendPeering(merged, f.corpus, 3, RiskParams{1e5, 0});
+      RecommendPeering(core::RouteEngine(merged.graph, RiskParams{1e5, 0}),
+                       merged, f.corpus, 3);
   for (std::size_t i = 1; i < recommendation.evaluations.size(); ++i) {
     EXPECT_LE(recommendation.evaluations[i - 1].objective,
               recommendation.evaluations[i].objective);

@@ -12,6 +12,7 @@
 #include "core/k_shortest.h"
 #include "core/ospf_export.h"
 #include "core/route_engine.h"
+#include "tests/graph_fixtures.h"
 #include "tests/oracle/reference_routing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -19,36 +20,7 @@
 namespace riskroute::core {
 namespace {
 
-/// Random connected geometric graph with random risk attributes.
-RiskGraph RandomGraph(std::size_t n, double extra_edge_prob, util::Rng& rng) {
-  RiskGraph graph;
-  std::vector<double> fractions(n);
-  double fraction_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    fractions[i] = rng.Uniform(0.01, 1.0);
-    fraction_sum += fractions[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "n" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        fractions[i] / fraction_sum, rng.Uniform(0.0, 0.5),
-        rng.Chance(0.3) ? rng.Uniform(0.0, 100.0) : 0.0});
-  }
-  // Random spanning tree first (guarantees connectivity).
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (!graph.HasEdge(i, j) && rng.Chance(extra_edge_prob)) {
-        graph.AddEdgeByDistance(i, j);
-      }
-    }
-  }
-  return graph;
-}
+using fixtures::RandomGraph;
 
 /// Floyd-Warshall distances under plain mileage.
 std::vector<std::vector<double>> FloydWarshall(const RiskGraph& graph) {
@@ -265,16 +237,17 @@ TEST_P(RandomGraphSweep, CompositeEngineAllPairsBitwiseMatchesCallback) {
   // distances do not depend on that order, parent chains might.
   util::Rng rng(GetParam() + 6000);
   const RiskGraph graph = RandomGraph(16, 0.2, rng);
+  const RiskParams params{rng.Uniform(10, 1e4), rng.Uniform(0, 10)};
   OspfExportOptions options;
-  options.params = RiskParams{rng.Uniform(10, 1e4), rng.Uniform(0, 10)};
   options.alpha = rng.Uniform(0.01, 0.5);
   const auto composite = [&](std::size_t from, const RiskEdge& edge) {
     return edge.miles +
-           options.alpha * (oracle::NodeScore(graph, options.params, from) +
-                            oracle::NodeScore(graph, options.params, edge.to)) /
+           options.alpha * (oracle::NodeScore(graph, params, from) +
+                            oracle::NodeScore(graph, params, edge.to)) /
                2.0;
   };
-  const RouteEngine engine = CompositeEngine(graph, options);
+  const RouteEngine engine =
+      CompositeEngine(RouteEngine(graph, params), options);
   const PairMatrix got = engine.AllPairs(RouteMetric::kDistance);
   oracle::Dijkstra workspace;
   for (std::size_t s = 0; s < graph.node_count(); ++s) {

@@ -1,4 +1,4 @@
-// riskroute_serverd tests: wire codec, bounded scheduler, and the full
+// riskroute_serverd tests: wire codec, admission gate, and the full
 // loopback client/server stack. The headline assertion is the serverd
 // correctness contract — a served kOk body is byte-identical to the
 // api::Service body (and hence to the CLI's stdout) for the same request
@@ -12,6 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,12 +23,11 @@
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
-#include "geo/geo_point.h"
 #include "server/client.h"
 #include "server/scheduler.h"
 #include "server/server.h"
 #include "server/wire.h"
-#include "util/rng.h"
+#include "tests/graph_fixtures.h"
 #include "util/thread_pool.h"
 
 namespace riskroute {
@@ -33,30 +35,11 @@ namespace {
 
 namespace wire = server::wire;
 using core::RiskGraph;
-using core::RiskNode;
 using core::RiskParams;
 using core::RouteEngine;
+using fixtures::SampleGraph;
 
 constexpr RiskParams kParams{1e5, 1e3};
-
-RiskGraph SampleGraph(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  RiskGraph graph;
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "pop-" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        rng.Uniform(0.01, 1.0), rng.Uniform(0.0, 0.5),
-        rng.Chance(0.5) ? rng.Uniform(0.0, 50.0) : 0.0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(
-               rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i + 3 < n; i += 3) graph.AddEdgeByDistance(i, i + 3);
-  return graph;
-}
 
 /// Short unique unix socket path (sun_path is ~108 bytes; stay in /tmp).
 std::string TestSocketPath(int n) {
@@ -309,110 +292,96 @@ TEST(WireTest, AssemblerReassemblesByteDribble) {
   EXPECT_EQ(assembler.buffered(), 0u);
 }
 
-// --- Scheduler ---
+// --- Admission gate ---
+
+using Gate = server::RequestScheduler;
+constexpr Gate::Clock::time_point kNoDeadline = Gate::Clock::time_point::max();
+
+/// Spins until `gate` has `n` requests waiting for a slot.
+void AwaitWaiting(const Gate& gate, std::size_t n) {
+  while (gate.waiting() < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(SchedulerTest, ZeroCapacityAcceptsOnlyWhenWorkerIdle) {
   server::SchedulerOptions options;
   options.workers = 1;
   options.queue_capacity = 0;
-  server::RequestScheduler scheduler(options);
-
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  const auto blocker = [&](server::TaskFate fate) {
-    if (fate == server::TaskFate::kRun) {
-      started = true;
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      ++ran;
-    }
-  };
-  const auto deadline = server::RequestScheduler::Clock::time_point::max();
-  ASSERT_EQ(scheduler.TrySubmit(blocker, deadline),
-            server::RequestScheduler::Submit::kAccepted);
-  // Once the worker is demonstrably busy (idle_workers == 0, queue empty),
-  // a zero-capacity scheduler must bounce the next submit.
-  while (!started.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Gate gate(options);
+  {
+    const Gate::Ticket running = gate.Enter(kNoDeadline);
+    ASSERT_EQ(running.admit(), Gate::Admit::kRun);
+    // The only slot is taken and nobody may wait: bounce at once.
+    EXPECT_EQ(gate.Enter(kNoDeadline).admit(), Gate::Admit::kQueueFull);
+    EXPECT_EQ(gate.waiting(), 0u);
   }
-  EXPECT_EQ(scheduler.TrySubmit([](server::TaskFate) {}, deadline),
-            server::RequestScheduler::Submit::kQueueFull);
-  release = true;
-  scheduler.Stop();  // joins the worker, so the blocker has finished
-  EXPECT_EQ(ran.load(), 1);
+  // The ticket released its slot.
+  EXPECT_EQ(gate.Enter(kNoDeadline).admit(), Gate::Admit::kRun);
 }
 
 TEST(SchedulerTest, ExpiredDeadlineSkipsExecution) {
   server::SchedulerOptions options;
   options.workers = 1;
   options.queue_capacity = 4;
-  server::RequestScheduler scheduler(options);
+  Gate gate(options);
+  const Gate::Ticket running = gate.Enter(kNoDeadline);
+  ASSERT_EQ(running.admit(), Gate::Admit::kRun);
 
-  std::atomic<bool> release{false};
-  ASSERT_EQ(scheduler.TrySubmit(
-                [&](server::TaskFate) {
-                  while (!release.load()) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                  }
-                },
-                server::RequestScheduler::Clock::time_point::max()),
-            server::RequestScheduler::Submit::kAccepted);
-
-  std::atomic<int> fate_seen{-1};
-  ASSERT_EQ(scheduler.TrySubmit(
-                [&](server::TaskFate fate) {
-                  fate_seen = static_cast<int>(fate);
-                },
-                server::RequestScheduler::Clock::now() +
-                    std::chrono::milliseconds(30)),
-            server::RequestScheduler::Submit::kAccepted);
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  release = true;
-  // Wait for the worker to reach the expired task before stopping —
-  // Stop() would otherwise cancel it while still queued.
-  const auto give_up =
-      server::RequestScheduler::Clock::now() + std::chrono::seconds(5);
-  while (fate_seen.load() < 0 &&
-         server::RequestScheduler::Clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  scheduler.Stop();
-  EXPECT_EQ(fate_seen.load(),
-            static_cast<int>(server::TaskFate::kExpired));
+  // The waiter leaves at its own deadline, while the slot is still held.
+  const auto deadline = Gate::Clock::now() + std::chrono::milliseconds(30);
+  const Gate::Ticket late = gate.Enter(deadline);
+  EXPECT_EQ(late.admit(), Gate::Admit::kExpired);
+  EXPECT_GE(Gate::Clock::now(), deadline);
+  EXPECT_EQ(gate.waiting(), 0u);
 }
 
 TEST(SchedulerTest, StopCancelsQueuedTasks) {
   server::SchedulerOptions options;
   options.workers = 1;
   options.queue_capacity = 8;
-  server::RequestScheduler scheduler(options);
+  Gate gate(options);
+  const Gate::Ticket running = gate.Enter(kNoDeadline);
+  ASSERT_EQ(running.admit(), Gate::Admit::kRun);
 
-  std::atomic<bool> release{false};
-  ASSERT_EQ(scheduler.TrySubmit(
-                [&](server::TaskFate) {
-                  while (!release.load()) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                  }
-                },
-                server::RequestScheduler::Clock::time_point::max()),
-            server::RequestScheduler::Submit::kAccepted);
-  std::atomic<int> cancelled{0};
+  std::atomic<int> stopped{0};
+  std::vector<std::thread> waiters;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(scheduler.TrySubmit(
-                  [&](server::TaskFate fate) {
-                    if (fate == server::TaskFate::kCancelled) ++cancelled;
-                  },
-                  server::RequestScheduler::Clock::time_point::max()),
-              server::RequestScheduler::Submit::kAccepted);
+    waiters.emplace_back([&] {
+      if (gate.Enter(kNoDeadline).admit() == Gate::Admit::kStopped) ++stopped;
+    });
   }
-  release = true;
-  scheduler.Stop();
-  EXPECT_EQ(cancelled.load(), 3);
-  EXPECT_EQ(scheduler.TrySubmit([](server::TaskFate) {},
-                                server::RequestScheduler::Clock::time_point::max()),
-            server::RequestScheduler::Submit::kStopped);
+  AwaitWaiting(gate, 3);
+  gate.Stop();  // the slot is still held: only Stop() can release them
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(stopped.load(), 3);
+  EXPECT_EQ(gate.waiting(), 0u);
+  EXPECT_EQ(gate.Enter(kNoDeadline).admit(), Gate::Admit::kStopped);
+}
+
+TEST(SchedulerTest, WaitersAreAdmittedInArrivalOrder) {
+  server::SchedulerOptions options;
+  options.workers = 1;
+  options.queue_capacity = 8;
+  Gate gate(options);
+  std::mutex order_mutex;
+  std::vector<int> order;
+  std::vector<std::thread> waiters;
+  {
+    const Gate::Ticket running = gate.Enter(kNoDeadline);
+    ASSERT_EQ(running.admit(), Gate::Admit::kRun);
+    for (int i = 0; i < 3; ++i) {
+      waiters.emplace_back([&, i] {
+        const Gate::Ticket ticket = gate.Enter(kNoDeadline);
+        ASSERT_EQ(ticket.admit(), Gate::Admit::kRun);
+        std::lock_guard lock(order_mutex);
+        order.push_back(i);
+      });
+      AwaitWaiting(gate, static_cast<std::size_t>(i) + 1);
+    }
+  }
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 // --- Loopback client/server ---
@@ -476,6 +445,65 @@ TEST_F(ServerTest, ServedBodiesAreByteIdenticalToServiceAcrossPoolSizes) {
 
     daemon.Stop();
   }
+}
+
+/// Threads in this process: the entries of /proc/self/task.
+std::size_t ThreadCount() {
+  std::size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// This process's virtual memory size in kB (VmSize of /proc/self/status).
+long VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0;
+}
+
+TEST_F(ServerTest, StartSpawnsOnlyTheAcceptThread) {
+  util::ThreadPool pool(1);
+  const api::Service service = MakeService(&pool);
+  server::ServerOptions options;
+  options.unix_path = TestSocketPath(16);
+  options.scheduler.workers = 4;
+  const std::size_t before = ThreadCount();
+  server::Server daemon(service, options);
+  daemon.Start();
+  // Requests execute on their connection threads; `workers` only bounds
+  // how many at once.
+  EXPECT_EQ(ThreadCount(), before + 1);
+  daemon.Stop();
+}
+
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  util::ThreadPool pool(1);
+  const api::Service service = MakeService(&pool);
+  server::ServerOptions options;
+  options.unix_path = TestSocketPath(17);
+  server::Server daemon(service, options);
+  daemon.Start();
+  wire::Request ping;
+  ping.kind = wire::FrameKind::kPingRequest;
+  const auto ping_once = [&] {
+    server::Client client = server::Client::ConnectUnix(options.unix_path);
+    EXPECT_EQ(client.Call(ping).status, wire::Status::kOk);
+  };
+  // Warm-up: the first connections grow allocator arenas later ones reuse.
+  for (int i = 0; i < 8; ++i) ping_once();
+  const long before = VmSizeKb();
+  for (int i = 0; i < 64; ++i) ping_once();
+  // An exited but unjoined thread keeps its ~8 MB stack mapped, so 64
+  // unreaped connections would grow the address space by ~0.5 GB.
+  EXPECT_LT(VmSizeKb() - before, 128 * 1024);
+  daemon.Stop();
 }
 
 TEST_F(ServerTest, TcpLoopbackServesEphemeralPort) {

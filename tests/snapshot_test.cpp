@@ -20,43 +20,23 @@
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
-#include "geo/geo_point.h"
+#include "tests/graph_fixtures.h"
 #include "util/parse_result.h"
-#include "util/rng.h"
 
 namespace riskroute {
 namespace {
 
 using core::DijkstraWorkspace;
 using core::RiskGraph;
-using core::RiskNode;
 using core::RiskParams;
 using core::RouteEngine;
 using core::RouteMetric;
+using fixtures::SampleGraph;
 
 constexpr RiskParams kParams{1e5, 1e3};
 
 std::span<const std::uint8_t> AsBytes(const std::string& s) {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
-RiskGraph SampleGraph(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  RiskGraph graph;
-  for (std::size_t i = 0; i < n; ++i) {
-    graph.AddNode(RiskNode{
-        "pop-" + std::to_string(i),
-        geo::GeoPoint(rng.Uniform(26, 48), rng.Uniform(-123, -68)),
-        rng.Uniform(0.01, 1.0), rng.Uniform(0.0, 0.5),
-        rng.Chance(0.5) ? rng.Uniform(0.0, 50.0) : 0.0});
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    graph.AddEdgeByDistance(
-        i, static_cast<std::size_t>(
-               rng.UniformInt(0, static_cast<std::int64_t>(i) - 1)));
-  }
-  for (std::size_t i = 0; i + 3 < n; i += 3) graph.AddEdgeByDistance(i, i + 3);
-  return graph;
 }
 
 TEST(SnapshotTest, RoundTripIsByteExactWithAndWithoutLandmarks) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/csv.h"
@@ -214,19 +215,19 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(pool, hits.size(), [&](std::size_t i) { hits[i]++; });
+  ParallelFor(&pool, hits.size(), [&](std::size_t i) { hits[i]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForZeroCountIsNoop) {
   ThreadPool pool(2);
-  ParallelFor(pool, 0, [](std::size_t) { FAIL() << "must not run"; });
+  ParallelFor(&pool, 0, [](std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      ParallelFor(pool, 100,
+      ParallelFor(&pool, 100,
                   [](std::size_t i) {
                     if (i == 57) throw std::runtime_error("boom");
                   }),
@@ -237,19 +238,19 @@ TEST(ThreadPool, SingleThreadPoolRunsIterationsInOrder) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::vector<std::size_t> order;
-  ParallelFor(pool, 64, [&](std::size_t i) { order.push_back(i); });
+  ParallelFor(&pool, 64, [&](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 64u);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPool, ParallelForFirstExceptionWins) {
-  // With a single worker the iterations run in index order, so the first
+  // A one-worker pool runs the iterations in index order, so the first
   // exception chronologically is the one at the lowest throwing index —
   // that is the error ParallelFor must rethrow, not a later one.
   ThreadPool pool(1);
   std::size_t executed = 0;
   try {
-    ParallelFor(pool, 100, [&](std::size_t i) {
+    ParallelFor(&pool, 100, [&](std::size_t i) {
       ++executed;
       if (i == 3 || i == 50) throw std::runtime_error(std::to_string(i));
     });
@@ -260,6 +261,18 @@ TEST(ThreadPool, ParallelForFirstExceptionWins) {
   // Later iterations still ran; an exception records the error but does
   // not cancel the sweep.
   EXPECT_EQ(executed, 100u);
+}
+
+TEST(ThreadPool, NullOrOneWorkerPoolRunsEveryIndexOnTheCallingThread) {
+  ThreadPool one_worker(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one_worker}) {
+    std::vector<std::thread::id> ran_on(16);
+    ParallelFor(pool, ran_on.size(),
+                [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (const std::thread::id id : ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << (pool ? "one" : "null");
+    }
+  }
 }
 
 TEST(ThreadPool, SubmitWorksOnSingleThreadPool) {

@@ -1,18 +1,11 @@
 // Command-line option parsing for the riskroute CLI.
 //
-// Two entry points:
-//
-//  * Args::Parse(argc, argv, first, registry) — the hardened path. Every
-//    flag must be declared in a FlagRegistry as either value-taking or
-//    boolean; unknown options, value flags with no value ("--metrics-out
-//    --json" used to record metrics-out=""), and boolean flags given an
-//    inline value are structured ParseResult errors. Supports both
-//    "--key value" and "--key=value".
-//
-//  * the legacy lenient constructor — kept for ad-hoc tooling and tests
-//    that predate the registry. It guesses value-vs-boolean from the next
-//    token (a token starting with "--" keeps the flag boolean) and
-//    silently accepts unknown options. New code should declare flags.
+// Args::Parse(argc, argv, first, registry) is the one entry point. Every
+// flag must be declared in a FlagRegistry as either value-taking or
+// boolean; unknown options, value flags with no value ("--metrics-out
+// --json" used to record metrics-out=""), and boolean flags given an
+// inline value are structured ParseResult errors. Supports both
+// "--key value" and "--key=value".
 #pragma once
 
 #include <map>
@@ -100,27 +93,6 @@ class Args {
     }
     util::ingest::CountAccepted("args");
     return args;
-  }
-
-  /// Legacy lenient parse (see file comment). Also accepts --key=value.
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const std::string token = argv[i];
-      if (token.rfind("--", 0) == 0) {
-        std::string key = token.substr(2);
-        if (const auto eq = key.find('='); eq != std::string::npos) {
-          options_[key.substr(0, eq)] = key.substr(eq + 1);
-          continue;
-        }
-        if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-          options_[key] = argv[++i];
-        } else {
-          options_[key] = "";  // boolean flag
-        }
-      } else {
-        positional_.push_back(token);
-      }
-    }
   }
 
   [[nodiscard]] std::optional<std::string> Get(const std::string& key) const {

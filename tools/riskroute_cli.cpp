@@ -268,12 +268,13 @@ int CmdPeering(const Args& args) {
   const core::Study study = BuildStudy(args);
   const std::string network = args.GetOr("network", "Digex");
   util::ThreadPool pool(PoolThreads(args));
-  core::MergedGraph merged = study.BuildMerged();
+  const core::MergedGraph merged = study.BuildMerged();
+  const core::RouteEngine engine(merged.graph, ParamsFrom(args));
   const auto scope = args.Has("any-peer") ? provision::PeerScope::kAnyNetwork
                                           : provision::PeerScope::kTier1Only;
   const auto rec = provision::RecommendPeering(
-      merged, study.corpus(), study.NetworkIndex(network), ParamsFrom(args),
-      25.0, &pool, scope);
+      engine, merged, study.corpus(), study.NetworkIndex(network), 25.0,
+      &pool, scope);
   if (rec.evaluations.empty()) {
     std::puts("no candidate peers (co-located, not already peered)");
     return 0;
@@ -567,11 +568,10 @@ int CmdTable3(const Args& args) {
 int CmdOspf(const Args& args) {
   const core::Study study = BuildStudy(args);
   const std::string network = args.GetOr("network", "Deutsche");
-  const core::RiskGraph graph = study.BuildGraphFor(network);
-  core::OspfExportOptions options;
-  options.params = ParamsFrom(args);
-  const auto costs = core::ComputeOspfCosts(graph, options);
-  std::fputs(core::RenderOspfConfig(graph, costs).c_str(), stdout);
+  const core::RouteEngine engine(study.BuildGraphFor(network),
+                                 ParamsFrom(args));
+  const auto costs = core::ComputeOspfCosts(engine);
+  std::fputs(core::RenderOspfConfig(engine, costs).c_str(), stdout);
   return 0;
 }
 
