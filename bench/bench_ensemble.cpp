@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/pair_routes.h"
 #include "hazard/synthesis.h"
 #include "sim/ensemble.h"
 #include "sim/triage.h"
@@ -37,39 +38,29 @@ sim::EnsembleOptions BenchEnsembleOptions() {
   return options;
 }
 
-/// Shared fixture: the Digex graph, its frozen engine, the ensemble
-/// engine (baseline triangle precomputed at construction, untimed), and
-/// the first kBenchScenarios draws with a non-empty failure set.
+/// Shared fixture: the Digex graph, its frozen engine and per-pair
+/// baseline table, the ensemble engine built from that table (untimed),
+/// and the first kBenchScenarios draws with a non-empty failure set.
 struct EnsembleBenchFixture {
   core::RiskGraph graph;
   core::RouteEngine engine;
+  core::PairRoutes routes;
   std::vector<hazard::Catalog> catalogs;
   sim::EnsembleEngine ensemble;
   std::vector<sim::Scenario> scenarios;
-  std::vector<double> baseline;  // flat upper triangle, +inf unreachable
 
   EnsembleBenchFixture()
       : graph(bench::SharedStudy().BuildGraphFor("Digex")),
         engine(graph, kEnsembleBenchParams),
+        routes(engine),
         catalogs(hazard::SynthesizeAllCatalogs()),
-        ensemble(engine, catalogs, BenchEnsembleOptions()) {
+        ensemble(routes, catalogs, BenchEnsembleOptions()) {
     for (std::uint64_t k = 0; scenarios.size() < kBenchScenarios; ++k) {
       sim::Scenario scenario = ensemble.Draw(k);
       if (scenario.failed_nodes.empty() && scenario.severed_edges.empty()) {
         continue;
       }
       scenarios.push_back(std::move(scenario));
-    }
-    const std::size_t n = graph.node_count();
-    baseline.assign(n * (n - 1) / 2, std::numeric_limits<double>::infinity());
-    core::DijkstraWorkspace ws;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        engine.Run(ws, i, engine.Alpha(i, j), j);
-        if (ws.Reached(j)) {
-          baseline[i * (2 * n - i - 1) / 2 + (j - i - 1)] = ws.DistanceTo(j);
-        }
-      }
     }
   }
 };
@@ -100,9 +91,10 @@ double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
     severed.insert(EdgeKey(edge.a, edge.b));
   }
   double delta = 0.0;
+  std::size_t slot = 0;  // pair slots run in (i, j) order
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double base = fixture.baseline[i * (2 * n - i - 1) / 2 + (j - i - 1)];
+    for (std::size_t j = i + 1; j < n; ++j, ++slot) {
+      const double base = fixture.routes.BitRiskMiles(slot);
       if (base == std::numeric_limits<double>::infinity()) continue;
       if (dead[i] || dead[j]) continue;
       const oracle::BitRiskWeight eq1{&graph, kEnsembleBenchParams,
@@ -150,12 +142,12 @@ sim::TriageOptions TriageBenchOptions() {
 }
 
 /// The 100k-universe ensemble engine over the shared Digex fixture's
-/// graph and catalogs (baseline sweep untimed, at construction).
+/// pair table and catalogs (built untimed).
 struct TriageBenchFixture {
   sim::EnsembleEngine ensemble;
 
   TriageBenchFixture()
-      : ensemble(SharedEnsembleFixture().engine,
+      : ensemble(SharedEnsembleFixture().routes,
                  SharedEnsembleFixture().catalogs,
                  [] {
                    sim::EnsembleOptions options = BenchEnsembleOptions();

@@ -310,31 +310,14 @@ BENCHMARK(BM_BandwidthCV)->Unit(benchmark::kMillisecond);
 // graph.node() lookups, and a freshly allocated std::priority_queue per
 // Dijkstra call.
 
-/// Pre-engine Eq 4: one targeted legacy Dijkstra per unordered pair.
-double LegacyAggregateMinBitRisk(const core::RiskGraph& graph,
-                                 const core::RiskParams& params,
-                                 oracle::Dijkstra& workspace) {
-  const std::size_t n = graph.node_count();
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double alpha = oracle::Alpha(graph, i, j);
-      workspace.Run(graph, i, oracle::BitRiskWeight{&graph, params, alpha}, j);
-      if (workspace.Reached(j)) total += workspace.DistanceTo(j);
-    }
-  }
-  return total;
-}
-
 constexpr core::RiskParams kRouteBenchParams{1e5, 1e3};
 
 void BM_RouteAllPairsLegacy(benchmark::State& state) {
   const core::Study& study = bench::SharedStudy();
   static const core::RiskGraph graph = study.BuildGraphFor("Level3");
-  oracle::Dijkstra workspace;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        LegacyAggregateMinBitRisk(graph, kRouteBenchParams, workspace));
+        oracle::AggregateMinBitRisk(graph, kRouteBenchParams));
   }
 }
 BENCHMARK(BM_RouteAllPairsLegacy)->Unit(benchmark::kMillisecond);
@@ -376,12 +359,11 @@ void BM_GreedyScanLegacy(benchmark::State& state) {
   // The pre-engine candidate scan: mutate the working graph, re-run the
   // full Eq 4 sweep, restore — once per candidate.
   core::RiskGraph working = fixture.graph;
-  oracle::Dijkstra workspace;
   for (auto _ : state) {
     double sink = 0.0;
     for (const provision::CandidateLink& link : fixture.candidates) {
       working.AddEdge(link.a, link.b, link.direct_miles);
-      sink += LegacyAggregateMinBitRisk(working, kRouteBenchParams, workspace);
+      sink += oracle::AggregateMinBitRisk(working, kRouteBenchParams);
       working.RemoveEdge(link.a, link.b);
     }
     benchmark::DoNotOptimize(sink);

@@ -128,41 +128,17 @@ obs::Counter& RequestCounter(const char* kind) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
 
-/// Whether two option sets build the same EnsembleEngine (every field
-/// feeds construction: the baseline sweep, the seasonal slices, or the
-/// per-scenario draw parameters the engine snapshots).
-bool SameEnsembleOptions(const sim::EnsembleOptions& a,
-                         const sim::EnsembleOptions& b) {
-  return a.scenarios == b.scenarios && a.seed == b.seed &&
-         a.month == b.month &&
-         a.damage_radius_scale == b.damage_radius_scale &&
-         a.center_jitter == b.center_jitter &&
-         a.fringe_factor == b.fringe_factor &&
-         a.fringe_fail_scale == b.fringe_fail_scale &&
-         a.link_cut_prob == b.link_cut_prob &&
-         a.criticality_top == b.criticality_top;
-}
-
 }  // namespace
 
 Service::Service(core::RouteEngine engine, const ServiceOptions& options)
-    : engine_(std::move(engine)),
-      pool_threads_(options.threads),
-      borrowed_pool_(options.pool) {}
+    : engine_(std::make_unique<const core::RouteEngine>(std::move(engine))),
+      pool_(options.pool) {}
 
 util::ParseResult<Service> Service::FromSnapshotFile(
     const std::string& path, const ServiceOptions& options) {
   auto loaded = core::RouteEngine::LoadSnapshotFile(path);
   if (!loaded.ok()) return loaded.error();
   return Service(std::move(loaded.value()), options);
-}
-
-util::ThreadPool& Service::pool() const {
-  if (borrowed_pool_ != nullptr) return *borrowed_pool_;
-  std::call_once(lazy_->pool_once, [this] {
-    lazy_->pool = std::make_unique<util::ThreadPool>(pool_threads_);
-  });
-  return *lazy_->pool;
 }
 
 const std::vector<hazard::Catalog>& Service::Catalogs() const {
@@ -172,33 +148,40 @@ const std::vector<hazard::Catalog>& Service::Catalogs() const {
   return lazy_->catalogs;
 }
 
+const std::shared_ptr<const core::PairRoutes>& Service::Routes() const {
+  std::call_once(lazy_->routes_once, [this] {
+    lazy_->routes = std::make_shared<const core::PairRoutes>(*engine_, pool_);
+  });
+  return lazy_->routes;
+}
+
 RouteResponse Service::Route(const RouteRequest& request) const {
   static obs::TraceScope scope(obs::MetricsRegistry::Global(), "api.route");
   obs::TraceSpan span(scope);
   RequestCounter("route").Add();
 
-  const std::size_t src = RequirePop(engine_, request.from);
-  const std::size_t dst = RequirePop(engine_, request.to);
+  const std::size_t src = RequirePop(*engine_, request.from);
+  const std::size_t dst = RequirePop(*engine_, request.to);
 
   RouteResponse response;
-  response.alpha = engine_.Alpha(src, dst);
-  const auto shortest_path = engine_.FindPath(src, dst, 0.0);
-  const auto risky_path = engine_.FindPath(src, dst, response.alpha);
+  response.alpha = engine_->Alpha(src, dst);
+  const auto shortest_path = engine_->FindPath(src, dst, 0.0);
+  const auto risky_path = engine_->FindPath(src, dst, response.alpha);
   if (!shortest_path || !risky_path) return response;
 
   response.connected = true;
   response.shortest_path = *shortest_path;
   response.riskroute_path = *risky_path;
-  response.shortest = engine_.Measure(*shortest_path);
-  response.riskroute = engine_.Measure(*risky_path);
+  response.shortest = engine_->Measure(*shortest_path);
+  response.riskroute = engine_->Measure(*risky_path);
   response.body =
-      RenderRouteLine(engine_, "shortest ", *shortest_path,
+      RenderRouteLine(*engine_, "shortest ", *shortest_path,
                       response.shortest.miles,
                       response.shortest.bit_risk_miles) +
-      RenderRouteLine(engine_, "riskroute", *risky_path,
+      RenderRouteLine(*engine_, "riskroute", *risky_path,
                       response.riskroute.miles,
                       response.riskroute.bit_risk_miles) +
-      RenderHopTable(engine_, *risky_path, response.alpha);
+      RenderHopTable(*engine_, *risky_path, response.alpha);
   return response;
 }
 
@@ -207,12 +190,12 @@ RatiosResponse Service::Ratios(const RatiosRequest& request) const {
   obs::TraceSpan span(scope);
   RequestCounter("ratios").Add();
 
-  std::vector<std::size_t> all(engine_.node_count());
+  std::vector<std::size_t> all(engine_->node_count());
   std::iota(all.begin(), all.end(), std::size_t{0});
 
   RatiosResponse response;
-  response.report = engine_.ComputeRatios(all, all, &pool());
-  response.pops = engine_.node_count();
+  response.report = engine_->ComputeRatios(all, all, pool_);
+  response.pops = engine_->node_count();
   util::Table table(
       {"Network", "# PoPs", "Risk Reduction", "Distance Increase"});
   table.Add(request.label, response.pops,
@@ -233,8 +216,7 @@ EnsembleResponse Service::Ensemble(const EnsembleRequest& request) const {
   options.month = request.month;
   options.criticality_top = request.top;
 
-  const std::shared_ptr<const sim::EnsembleEngine> ensemble =
-      EnsembleFor(options);
+  const sim::EnsembleEngine ensemble(*Routes(), Catalogs(), options);
   EnsembleResponse response;
   if (request.triage) {
     sim::TriageOptions triage;
@@ -242,35 +224,19 @@ EnsembleResponse Service::Ensemble(const EnsembleRequest& request) const {
     triage.audit_stride = request.audit_stride;
     triage.base_rate = static_cast<double>(request.base_rate_ppm) / 1e6;
     triage.min_rate = std::min(triage.min_rate, triage.base_rate);
-    const sim::TriagedEnsemble triaged(*ensemble, triage);
-    response.triaged = triaged.Run(&pool());
+    const sim::TriagedEnsemble triaged(ensemble, triage);
+    response.triaged = triaged.Run(pool_);
     response.report = response.triaged->estimate;
     response.body = request.json
                         ? response.triaged->ToJson()
-                        : RenderTriagedText(engine_, *response.triaged);
+                        : RenderTriagedText(*engine_, *response.triaged);
   } else {
-    response.report = ensemble->Run(&pool());
+    response.report = ensemble.Run(pool_);
     response.body = request.json
                         ? response.report.ToJson()
-                        : RenderEnsembleText(engine_, response.report);
+                        : RenderEnsembleText(*engine_, response.report);
   }
   return response;
-}
-
-std::shared_ptr<const sim::EnsembleEngine> Service::EnsembleFor(
-    const sim::EnsembleOptions& options) const {
-  std::lock_guard<std::mutex> lock(lazy_->ensemble_mutex);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  if (lazy_->ensemble != nullptr &&
-      SameEnsembleOptions(lazy_->ensemble_options, options)) {
-    reg.GetCounter("api.ensemble.engine_reuses").Add(1);
-    return lazy_->ensemble;
-  }
-  reg.GetCounter("api.ensemble.engine_builds").Add(1);
-  lazy_->ensemble = std::make_shared<const sim::EnsembleEngine>(
-      engine_, Catalogs(), options, &pool());
-  lazy_->ensemble_options = options;
-  return lazy_->ensemble;
 }
 
 RouteDiffResponse Service::StreamAdvisory(
@@ -285,9 +251,9 @@ RouteDiffResponse Service::StreamAdvisory(
   if (lazy_->stream == nullptr) {
     forecast::StreamOptions options;
     options.top_moves = request.top;
-    options.pool = &pool();
+    options.pool = pool_;
     lazy_->stream =
-        std::make_unique<forecast::StreamingReroute>(engine_, options);
+        std::make_unique<forecast::StreamingReroute>(Routes(), options);
     reg.GetCounter("api.stream.sessions").Add(1);
   } else {
     reg.GetCounter("api.stream.session_reuses").Add(1);
@@ -301,7 +267,7 @@ RouteDiffResponse Service::StreamAdvisory(
     // keep answering, tagged so the caller knows what it is getting.
     response.diff = lazy_->stream->FallbackToStatic();
     response.body = "advisory rejected: " + parsed.error().Render() + "\n" +
-                    forecast::RenderRouteDiff(response.diff, engine_,
+                    forecast::RenderRouteDiff(response.diff, *engine_,
                                               request.top);
     return response;
   }
@@ -310,7 +276,7 @@ RouteDiffResponse Service::StreamAdvisory(
   if (!diff.ok()) throw InvalidArgument(diff.error().Render());
   response.diff = std::move(diff.value());
   response.body =
-      forecast::RenderRouteDiff(response.diff, engine_, request.top);
+      forecast::RenderRouteDiff(response.diff, *engine_, request.top);
   return response;
 }
 
@@ -324,18 +290,18 @@ ProvisionResponse Service::Provision(const ProvisionRequest& request) const {
   }
   provision::AugmentationOptions options;
   options.links_to_add = request.links;
-  options.candidates.max_candidates = engine_.node_count() > 100 ? 120 : 400;
+  options.candidates.max_candidates = engine_->node_count() > 100 ? 120 : 400;
 
   ProvisionResponse response;
-  response.result = provision::GreedyAugment(engine_, options, &pool());
+  response.result = provision::GreedyAugment(*engine_, options, pool_);
   response.body = util::Format("aggregate bit-risk today: %.4g\n",
                                response.result.original_bit_risk_miles);
   for (std::size_t s = 0; s < response.result.steps.size(); ++s) {
     const auto& step = response.result.steps[s];
     response.body += util::Format(
         "%zu. %s <-> %s (%.0f mi) -> %.2f%% of original\n", s + 1,
-        engine_.node_name(step.link.a).c_str(),
-        engine_.node_name(step.link.b).c_str(), step.link.direct_miles,
+        engine_->node_name(step.link.a).c_str(),
+        engine_->node_name(step.link.b).c_str(), step.link.direct_miles,
         100 * step.fraction_of_original);
   }
   return response;

@@ -1,7 +1,8 @@
 // riskroute::api — the typed request/response layer of the library.
 //
-// Service owns one frozen core::RouteEngine (plus the worker pool and the
-// lazily synthesized hazard catalogs an ensemble run needs) and answers
+// Service owns one frozen core::RouteEngine (plus the lazily synthesized
+// hazard catalogs an ensemble run needs and the lazily swept per-pair
+// baseline table the ensemble and stream queries share) and answers
 // the four query families the riskroute CLI exposes: route, ratios,
 // ensemble, provision. Each query takes a small request struct and
 // returns a response struct carrying both the structured result and
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/pair_routes.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
 #include "forecast/streaming.h"
@@ -44,12 +46,8 @@ namespace riskroute::api {
 
 /// Service construction options.
 struct ServiceOptions {
-  /// Worker count for the owned pool (0 = hardware concurrency). Ignored
-  /// when `pool` is set.
-  std::size_t threads = 0;
-  /// Borrowed worker pool; must outlive the Service. When null the
-  /// Service lazily creates its own pool on the first query that
-  /// parallelizes (route queries never pay the spawn cost).
+  /// Borrowed worker pool; must outlive the Service. When null every
+  /// query runs serially (util::ParallelFor's null-pool rule).
   util::ThreadPool* pool = nullptr;
 };
 
@@ -118,9 +116,9 @@ struct EnsembleResponse {
 
 /// One advisory bulletin pushed into the rolling re-route session
 /// (CLI: `riskroute stream`; serverd frame kind kStreamAdvisory). The
-/// session is created on the first request and reused across requests —
-/// one frozen engine, one baseline pair table — until `reset` starts a
-/// fresh session.
+/// session is created on the first request and reused across requests
+/// until `reset` starts a fresh one; every session starts from the
+/// Service's shared baseline pair table, so a reset sweeps nothing.
 struct StreamAdvisoryRequest {
   std::string bulletin;
   bool reset = false;
@@ -185,40 +183,32 @@ class Service {
   [[nodiscard]] RouteDiffResponse StreamAdvisory(
       const StreamAdvisoryRequest& request) const;
 
-  [[nodiscard]] const core::RouteEngine& engine() const { return engine_; }
-  /// The worker pool (borrowed or owned; spawned on first use).
-  [[nodiscard]] util::ThreadPool& pool() const;
+  [[nodiscard]] const core::RouteEngine& engine() const { return *engine_; }
 
  private:
   /// Lazily synthesized hazard catalogs for ensemble runs. The vector is
   /// a stable member: EnsembleEngine keeps a pointer into it.
   [[nodiscard]] const std::vector<hazard::Catalog>& Catalogs() const;
 
-  /// Cached EnsembleEngine for `options`, rebuilt only when the
-  /// construction-relevant options change. Returned shared so a
-  /// concurrent request with different options cannot dangle a caller
-  /// mid-run. Fixes the latent per-request rebuild: repeated identical
-  /// ensemble queries (the serverd steady state) reuse one prepared
-  /// engine — baseline sweep, seasonal slices and all.
-  [[nodiscard]] std::shared_ptr<const sim::EnsembleEngine> EnsembleFor(
-      const sim::EnsembleOptions& options) const;
+  /// The engine's per-pair baseline table, swept once on the pool by the
+  /// first ensemble or stream request; route, ratios and provision
+  /// requests never build it.
+  [[nodiscard]] const std::shared_ptr<const core::PairRoutes>& Routes() const;
 
-  core::RouteEngine engine_;
-  std::size_t pool_threads_ = 0;
-  util::ThreadPool* borrowed_pool_ = nullptr;
+  // Heap-held so the pair table and the stream session, which point at
+  // the engine, stay valid when the Service moves.
+  std::unique_ptr<const core::RouteEngine> engine_;
+  util::ThreadPool* pool_ = nullptr;
 
   // Lazy state lives behind a pointer so Service stays movable
   // (std::once_flag and std::mutex are not).
   struct Lazy {
-    std::once_flag pool_once;
     std::once_flag catalogs_once;
-    std::unique_ptr<util::ThreadPool> pool;
     std::vector<hazard::Catalog> catalogs;
+    std::once_flag routes_once;
+    std::shared_ptr<const core::PairRoutes> routes;
     std::mutex stream_mutex;
     std::unique_ptr<forecast::StreamingReroute> stream;
-    std::mutex ensemble_mutex;
-    std::shared_ptr<const sim::EnsembleEngine> ensemble;
-    sim::EnsembleOptions ensemble_options;  // valid iff ensemble != null
   };
   std::unique_ptr<Lazy> lazy_ = std::make_unique<Lazy>();
 };

@@ -392,17 +392,6 @@ void RouteEngine::RunDistance(DijkstraWorkspace& ws, std::size_t source,
   }
 }
 
-std::vector<double> RouteEngine::SingleSourceAllTargets(
-    std::size_t source, double alpha, const EdgeOverlay* overlay) const {
-  thread_local DijkstraWorkspace ws;
-  if (alpha == 0.0) {
-    RunDistance(ws, source, std::nullopt, overlay);
-  } else {
-    Run(ws, source, alpha, std::nullopt, overlay);
-  }
-  return ws.dist_;
-}
-
 std::optional<Path> RouteEngine::FindPath(std::size_t source,
                                           std::size_t target, double alpha,
                                           const EdgeOverlay* overlay) const {

@@ -227,12 +227,6 @@ class RouteEngine {
                    std::optional<std::size_t> target = std::nullopt,
                    const EdgeOverlay* overlay = nullptr) const;
 
-  /// One full sweep's distance row (index = target node; +inf when
-  /// unreachable). Runs on a pooled thread-local workspace.
-  [[nodiscard]] std::vector<double> SingleSourceAllTargets(
-      std::size_t source, double alpha,
-      const EdgeOverlay* overlay = nullptr) const;
-
   /// Single-shot path under weight miles + alpha * risk; nullopt when
   /// unreachable. Pooled thread-local workspace.
   [[nodiscard]] std::optional<Path> FindPath(

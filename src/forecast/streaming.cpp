@@ -70,12 +70,13 @@ std::string PopLabel(const core::RouteEngine& engine, std::size_t v) {
   return util::Format("pop-%zu", v);
 }
 
-}  // namespace
-
-std::uint64_t PathDigest(const core::Path& path) {
+/// FNV-1a 64 over node ids widened to 8 little-endian bytes, so a
+/// table path (uint32 ids) digests exactly like the same core::Path.
+template <typename Nodes>
+std::uint64_t NodesDigest(const Nodes& path) {
   if (path.empty()) return 0;
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::size_t node : path) {
+  for (const auto node : path) {
     std::uint64_t id = node;
     for (int byte = 0; byte < 8; ++byte) {
       h ^= id & 0xffULL;
@@ -85,6 +86,10 @@ std::uint64_t PathDigest(const core::Path& path) {
   }
   return h;
 }
+
+}  // namespace
+
+std::uint64_t PathDigest(const core::Path& path) { return NodesDigest(path); }
 
 RouteDiff Compose(const RouteDiff& first, const RouteDiff& second) {
   // Keyed map keeps the result in ascending (src, dst) order.
@@ -156,62 +161,43 @@ std::string RenderRouteDiff(const RouteDiff& diff,
 
 StreamingReroute::StreamingReroute(const core::RouteEngine& engine,
                                    StreamOptions options)
-    : engine_(engine),
+    : StreamingReroute(std::make_shared<const core::PairRoutes>(engine,
+                                                                options.pool),
+                       options) {}
+
+StreamingReroute::StreamingReroute(
+    std::shared_ptr<const core::PairRoutes> routes, StreamOptions options)
+    : routes_(std::move(routes)),
       options_(options),
-      index_(EngineLocations(engine)) {
-  const std::size_t n = engine_.node_count();
+      index_(EngineLocations(routes_->engine())) {
+  const core::RouteEngine& engine = routes_->engine();
+  const std::size_t n = engine.node_count();
   for (std::size_t v = 0; v < n; ++v) {
-    if (engine_.forecast_risk(v) != 0.0) {
+    if (engine.forecast_risk(v) != 0.0) {
       throw InvalidArgument(
           "StreamingReroute: engine must be a baseline freeze with a "
           "zero forecast plane (the session owns the forecast dimension)");
     }
   }
-  pair_count_ = n >= 2 ? n * (n - 1) / 2 : 0;
+  // The table's sweeps are the same flavor (goal-directed iff landmarks
+  // are prepared) every later recompute and every from-scratch rebuild
+  // uses, so skipped pairs replay bitwise the answer a rebuild settles.
+  const std::size_t pairs = routes_->pair_count();
   mask_words_ = (n + 63) / 64;
-
-  base_brm_.assign(pair_count_, kInf);
-  base_digest_.assign(pair_count_, 0);
-  base_path_.assign(pair_count_, core::Path{});
-  base_mask_.assign(pair_count_ * mask_words_, 0);
-
-  // Baseline seed: one targeted sweep per pair — the same sweep flavor
-  // (goal-directed iff landmarks are prepared) every later recompute and
-  // every from-scratch rebuild uses, so skipped pairs replay bitwise the
-  // answer a rebuild would settle. Sources write disjoint slices; the
-  // result is bitwise identical for any thread count.
-  const auto seed_source = [&](std::size_t i) {
-    thread_local core::DijkstraWorkspace ws;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t p = PairIndex(i, j);
-      engine_.Run(ws, i, engine_.Alpha(i, j), j);
-      if (!ws.Reached(j)) continue;
-      base_brm_[p] = ws.DistanceTo(j);
-      base_path_[p] = ws.PathTo(j);
-      base_digest_[p] = PathDigest(base_path_[p]);
-      std::uint64_t* const mask = base_mask_.data() + p * mask_words_;
-      for (const std::size_t v : base_path_[p]) {
-        mask[v / 64] |= 1ULL << (v % 64);
-      }
-    }
-  };
-  util::ParallelFor(options_.pool, n >= 1 ? n - 1 : 0, seed_source);
-
-  cur_brm_ = base_brm_;
+  base_digest_.resize(pairs);
+  base_mask_.assign(pairs * mask_words_, 0);
+  cur_brm_.resize(pairs);
+  cur_path_.resize(pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::span<const std::uint32_t> path = routes_->PathNodes(p);
+    base_digest_[p] = NodesDigest(path);
+    std::uint64_t* const mask = base_mask_.data() + p * mask_words_;
+    for (const std::uint32_t v : path) mask[v / 64] |= 1ULL << (v % 64);
+    cur_brm_[p] = routes_->BitRiskMiles(p);
+  }
   cur_digest_ = base_digest_;
-  cur_path_ = base_path_;
 
   if (obs::Enabled()) StreamMetrics::Get().sessions.Add(1);
-}
-
-std::size_t StreamingReroute::PairIndex(std::size_t src,
-                                        std::size_t dst) const {
-  const std::size_t n = engine_.node_count();
-  if (src >= dst || dst >= n) {
-    throw InvalidArgument(
-        util::Format("StreamingReroute: bad pair (%zu, %zu)", src, dst));
-  }
-  return src * (2 * n - src - 1) / 2 + (dst - src - 1);
 }
 
 util::ParseResult<RouteDiff> StreamingReroute::IngestText(
@@ -233,7 +219,8 @@ util::ParseResult<RouteDiff> StreamingReroute::Ingest(
                      advisory.number, last_number_));
   }
 
-  const std::size_t n = engine_.node_count();
+  const core::RouteEngine& engine = routes_->engine();
+  const std::size_t n = engine.node_count();
   const double radius = std::max(advisory.tropical_wind_radius_miles,
                                  advisory.hurricane_wind_radius_miles);
   std::vector<double> forecast(n, 0.0);
@@ -251,7 +238,7 @@ util::ParseResult<RouteDiff> StreamingReroute::Ingest(
     for (const std::size_t v : candidates) {
       // Exact per-node evaluation: the kd query only prefilters, so the
       // raster matches a full-plane RiskAt pass bit for bit.
-      const double risk = field.RiskAt(engine_.location(v));
+      const double risk = field.RiskAt(engine.location(v));
       if (risk > 0.0) {
         forecast[v] = risk;
         scope.push_back(v);
@@ -285,7 +272,9 @@ RouteDiff StreamingReroute::FallbackToStatic() {
 
 RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
                                        std::span<const double> forecast) {
-  const std::size_t n = engine_.node_count();
+  const core::RouteEngine& engine = routes_->engine();
+  const std::size_t n = engine.node_count();
+  const std::size_t pairs = routes_->pair_count();
   overlay_.Clear();
   std::vector<std::uint64_t> scope_mask(mask_words_, 0);
   if (!scope.empty()) {
@@ -294,9 +283,9 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     // ScoreWithForecast — the RebuildRiskPlane expression in the
     // engine's translation unit — inside it.
     std::vector<double> scores(n);
-    for (std::size_t v = 0; v < n; ++v) scores[v] = engine_.NodeScore(v);
+    for (std::size_t v = 0; v < n; ++v) scores[v] = engine.NodeScore(v);
     for (const std::size_t v : scope) {
-      scores[v] = engine_.ScoreWithForecast(v, forecast[v]);
+      scores[v] = engine.ScoreWithForecast(v, forecast[v]);
       scope_mask[v / 64] |= 1ULL << (v % 64);
     }
     overlay_.SetNodeScoreOverride(std::move(scores));
@@ -311,7 +300,7 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
   std::vector<std::uint32_t> affected;
   std::vector<char> recompute;  // parallel to `affected`
   std::size_t next_diverged = 0;
-  for (std::size_t p = 0; p < pair_count_; ++p) {
+  for (std::size_t p = 0; p < pairs; ++p) {
     const bool hits_scope =
         !scope.empty() &&
         MasksIntersect(base_mask_.data() + p * mask_words_,
@@ -335,18 +324,6 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     old_digest[k] = cur_digest_[affected[k]];
   }
 
-  // Pair -> (src, dst) recovery for the sweep loop.
-  const auto pair_nodes = [n](std::size_t p) {
-    std::size_t i = 0;
-    std::size_t row = n - 1;
-    while (p >= row) {
-      p -= row;
-      --row;
-      ++i;
-    }
-    return std::pair<std::size_t, std::size_t>{i, i + 1 + p};
-  };
-
   // Disjoint writes per affected pair: bitwise identical results for
   // any thread count.
   const auto reroute = [&](std::size_t k) {
@@ -354,14 +331,13 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     if (recompute[k] == 0) {
       // The footprint released this pair: its optimum is the baseline
       // answer again (non-negative deltas never cheapen alternatives).
-      cur_brm_[p] = base_brm_[p];
+      cur_brm_[p] = routes_->BitRiskMiles(p);
       cur_digest_[p] = base_digest_[p];
-      cur_path_[p] = base_path_[p];
       return;
     }
     thread_local core::DijkstraWorkspace ws;
-    const auto [src, dst] = pair_nodes(p);
-    engine_.Run(ws, src, engine_.Alpha(src, dst), dst, overlay);
+    const auto [src, dst] = routes_->Endpoints(p);
+    engine.Run(ws, src, engine.Alpha(src, dst), dst, overlay);
     if (!ws.Reached(dst)) {
       cur_brm_[p] = kInf;
       cur_digest_[p] = 0;
@@ -376,17 +352,18 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
 
   // Serial diff + divergence rebuild in ascending pair order.
   RouteDiff diff;
-  diff.pairs_tracked = pair_count_;
+  diff.pairs_tracked = pairs;
   std::size_t recomputed = 0;
   std::vector<std::uint32_t> diverged;
   for (std::size_t k = 0; k < affected.size(); ++k) {
     const std::size_t p = affected[k];
     if (recompute[k] != 0) ++recomputed;
-    if (cur_brm_[p] != base_brm_[p] || cur_digest_[p] != base_digest_[p]) {
+    if (cur_brm_[p] != routes_->BitRiskMiles(p) ||
+        cur_digest_[p] != base_digest_[p]) {
       diverged.push_back(affected[k]);
     }
     if (cur_brm_[p] != old_brm[k] || cur_digest_[p] != old_digest[k]) {
-      const auto [src, dst] = pair_nodes(p);
+      const auto [src, dst] = routes_->Endpoints(p);
       PairMove move;
       move.src = static_cast<std::uint32_t>(src);
       move.dst = static_cast<std::uint32_t>(dst);
@@ -405,7 +382,7 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
   if (obs::Enabled()) {
     StreamMetrics& metrics = StreamMetrics::Get();
     metrics.pairs_recomputed.Add(recomputed);
-    metrics.cache_hits.Add(pair_count_ - recomputed);
+    metrics.cache_hits.Add(pairs - recomputed);
     metrics.pairs_moved.Add(diff.moves.size());
   }
   return diff;
@@ -413,8 +390,8 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
 
 std::vector<PairAnswer> StreamingReroute::Answers() const {
   std::vector<PairAnswer> out;
-  out.reserve(pair_count_);
-  const std::size_t n = engine_.node_count();
+  out.reserve(pair_count());
+  const std::size_t n = engine().node_count();
   std::size_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j, ++p) {
@@ -429,18 +406,23 @@ std::vector<PairAnswer> StreamingReroute::Answers() const {
   return out;
 }
 
-const core::Path& StreamingReroute::CurrentPath(std::size_t src,
-                                                std::size_t dst) const {
-  return cur_path_[PairIndex(src, dst)];
+core::Path StreamingReroute::CurrentPath(std::size_t src,
+                                         std::size_t dst) const {
+  const std::size_t p = routes_->Slot(src, dst);
+  if (std::binary_search(diverged_.begin(), diverged_.end(), p)) {
+    return cur_path_[p];
+  }
+  const std::span<const std::uint32_t> nodes = routes_->PathNodes(p);
+  return core::Path(nodes.begin(), nodes.end());
 }
 
 double StreamingReroute::CurrentBitRiskMiles(std::size_t src,
                                              std::size_t dst) const {
-  return cur_brm_[PairIndex(src, dst)];
+  return cur_brm_[routes_->Slot(src, dst)];
 }
 
 std::string StreamingReroute::Render(const RouteDiff& diff) const {
-  return RenderRouteDiff(diff, engine_, options_.top_moves);
+  return RenderRouteDiff(diff, engine(), options_.top_moves);
 }
 
 }  // namespace riskroute::forecast

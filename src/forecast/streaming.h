@@ -4,9 +4,10 @@
 // The paper's headline scenario is inherently streaming — a new NHC
 // advisory arrives every six hours and routes must shift ahead of
 // landfall — yet a naive implementation rebuilds the whole study per
-// advisory. StreamingReroute instead keeps ONE frozen baseline
-// RouteEngine (forecast plane all-zero) for the life of the session and,
-// per advisory:
+// advisory. StreamingReroute instead reads ONE frozen baseline
+// RouteEngine (forecast plane all-zero) and its core::PairRoutes table of
+// baseline answers for the life of the session (the table may be shared
+// by every session and ensemble over that engine) and, per advisory:
 //
 //  1. recomputes the forecast-risk raster only inside the advisory's
 //     wind footprint (a kd-tree radius query over the PoP set, then an
@@ -40,12 +41,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/edge_overlay.h"
+#include "core/pair_routes.h"
 #include "core/route_engine.h"
 #include "forecast/advisory.h"
 #include "forecast/forecast_risk.h"
@@ -129,11 +132,17 @@ struct PairAnswer {
 /// A rolling re-route session over one frozen baseline engine.
 class StreamingReroute {
  public:
-  /// The engine must be a baseline freeze: its forecast plane all-zero
-  /// (throws InvalidArgument otherwise) — the session owns the forecast
+  /// Starts from the baseline answers in `routes`. Its engine must be a
+  /// baseline freeze: its forecast plane all-zero (throws
+  /// InvalidArgument otherwise) — the session owns the forecast
   /// dimension from here on. Landmarks may be prepared; sweeps then run
-  /// goal-directed. Seeds the per-pair baseline table (one targeted
-  /// sweep per PoP pair, parallel over sources).
+  /// goal-directed. No sweep runs here: the session derives its path
+  /// digests and footprint masks from the stored paths.
+  explicit StreamingReroute(std::shared_ptr<const core::PairRoutes> routes,
+                            StreamOptions options = {});
+
+  /// Sweeps a private PairRoutes table over `engine` (on options.pool)
+  /// and starts from it.
   explicit StreamingReroute(const core::RouteEngine& engine,
                             StreamOptions options = {});
 
@@ -153,8 +162,12 @@ class StreamingReroute {
   /// position is kept, so the live feed can resume where it left off.
   RouteDiff FallbackToStatic();
 
-  [[nodiscard]] const core::RouteEngine& engine() const { return engine_; }
-  [[nodiscard]] std::size_t pair_count() const { return pair_count_; }
+  [[nodiscard]] const core::RouteEngine& engine() const {
+    return routes_->engine();
+  }
+  [[nodiscard]] std::size_t pair_count() const {
+    return routes_->pair_count();
+  }
   [[nodiscard]] std::size_t advisory_count() const { return advisory_count_; }
   [[nodiscard]] int last_advisory_number() const { return last_number_; }
   /// Overlay applied by the most recent ingest (empty after fallback or
@@ -164,8 +177,7 @@ class StreamingReroute {
   /// Current answers for all tracked pairs, ascending (src, dst).
   [[nodiscard]] std::vector<PairAnswer> Answers() const;
   /// Current settled path for one pair (src < dst; empty if unreachable).
-  [[nodiscard]] const core::Path& CurrentPath(std::size_t src,
-                                              std::size_t dst) const;
+  [[nodiscard]] core::Path CurrentPath(std::size_t src, std::size_t dst) const;
   [[nodiscard]] double CurrentBitRiskMiles(std::size_t src,
                                            std::size_t dst) const;
 
@@ -173,31 +185,28 @@ class StreamingReroute {
   [[nodiscard]] std::string Render(const RouteDiff& diff) const;
 
  private:
-  [[nodiscard]] std::size_t PairIndex(std::size_t src, std::size_t dst) const;
   /// Re-routes against a footprint (node ids with forecast risk > 0 and
   /// their o_f values); an empty scope reverts to the baseline plane.
   RouteDiff ApplyScope(std::span<const std::size_t> scope,
                        std::span<const double> forecast);
 
-  const core::RouteEngine& engine_;
+  std::shared_ptr<const core::PairRoutes> routes_;
   StreamOptions options_;
   spatial::KdTree index_;
-  std::size_t pair_count_ = 0;
   std::size_t mask_words_ = 0;
 
-  // Baseline answers, seeded once: per pair, the settled path, its
-  // bit-risk-miles, its digest, and a node bitmask used for the
-  // footprint-intersection skip test.
-  std::vector<double> base_brm_;
+  // Derived from the table's baseline paths, per pair slot: the path
+  // digest and a node bitmask for the footprint-intersection skip test.
   std::vector<std::uint64_t> base_digest_;
-  std::vector<core::Path> base_path_;
-  std::vector<std::uint64_t> base_mask_;  // pair_count_ * mask_words_
+  std::vector<std::uint64_t> base_mask_;  // pair_count() * mask_words_
 
   // Current answers (== baseline until an advisory diverges a pair).
+  // cur_path_[p] is meaningful only while p is diverged; every other
+  // pair's current path is the table's.
   std::vector<double> cur_brm_;
   std::vector<std::uint64_t> cur_digest_;
   std::vector<core::Path> cur_path_;
-  std::vector<std::uint32_t> diverged_;  // sorted pair ids != baseline
+  std::vector<std::uint32_t> diverged_;  // sorted pair slots != baseline
 
   core::EdgeOverlay overlay_;
   int last_number_ = 0;

@@ -46,6 +46,10 @@ PeeringRecommendation RecommendPeering(const core::RouteEngine& engine,
                                        double colocation_radius_miles,
                                        util::ThreadPool* pool,
                                        PeerScope scope) {
+  if (network_index >= corpus.network_count() ||
+      network_index >= merged.global_ids.size()) {
+    throw InvalidArgument("RecommendPeering: network index out of range");
+  }
   const std::vector<std::size_t>& sources = merged.global_ids[network_index];
   const std::vector<std::size_t> targets =
       core::RegionalTargets(merged, corpus);

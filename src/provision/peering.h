@@ -68,7 +68,8 @@ struct PeeringRecommendation {
 /// co-location edges over `engine` (frozen from `merged.graph`) as an
 /// EdgeOverlay and recomputing the interdomain lower-bound objective
 /// (network PoPs -> all regional PoPs). The merged graph is never copied
-/// or mutated.
+/// or mutated. Throws InvalidArgument when `network_index` is outside
+/// the corpus or the merged graph.
 [[nodiscard]] PeeringRecommendation RecommendPeering(
     const core::RouteEngine& engine, const core::MergedGraph& merged,
     const topology::Corpus& corpus, std::size_t network_index,

@@ -132,22 +132,19 @@ std::string EncodeRequest(const Request& request) {
       PutString(payload, request.ratios.label);
       break;
     case FrameKind::kEnsembleRequest:
-      PutU32(payload, static_cast<std::uint32_t>(request.ensemble.scenarios));
-      PutU64(payload, request.ensemble.seed);
-      PutU32(payload, static_cast<std::uint32_t>(request.ensemble.month));
-      PutU32(payload, static_cast<std::uint32_t>(request.ensemble.top));
-      payload.push_back(request.ensemble.json ? '\x01' : '\x00');
-      break;
     case FrameKind::kEnsembleTriageRequest:
+      // Kind 8 is kind 3's fields followed by the triage knobs.
       PutU32(payload, static_cast<std::uint32_t>(request.ensemble.scenarios));
       PutU64(payload, request.ensemble.seed);
       PutU32(payload, static_cast<std::uint32_t>(request.ensemble.month));
       PutU32(payload, static_cast<std::uint32_t>(request.ensemble.top));
       payload.push_back(request.ensemble.json ? '\x01' : '\x00');
-      PutU32(payload, static_cast<std::uint32_t>(request.ensemble.pilot));
-      PutU32(payload,
-             static_cast<std::uint32_t>(request.ensemble.audit_stride));
-      PutU32(payload, request.ensemble.base_rate_ppm);
+      if (request.kind == FrameKind::kEnsembleTriageRequest) {
+        PutU32(payload, static_cast<std::uint32_t>(request.ensemble.pilot));
+        PutU32(payload,
+               static_cast<std::uint32_t>(request.ensemble.audit_stride));
+        PutU32(payload, request.ensemble.base_rate_ppm);
+      }
       break;
     case FrameKind::kProvisionRequest:
       PutU32(payload, static_cast<std::uint32_t>(request.provision.links));
@@ -276,14 +273,24 @@ util::ParseResult<Request> DecodeRequestPayload(
     case FrameKind::kRatiosRequest:
       if (!read_string(request.ratios.label, "label", error)) return error;
       break;
-    case FrameKind::kEnsembleRequest: {
+    case FrameKind::kEnsembleRequest:
+    case FrameKind::kEnsembleTriageRequest: {
+      // Every field is read before any is validated, so a truncated
+      // payload reports truncation whatever its values.
+      const bool triage = request.kind == FrameKind::kEnsembleTriageRequest;
       std::uint32_t scenarios = 0;
       std::uint32_t month = 0;
       std::uint32_t top = 0;
       std::uint8_t json = 0;
-      if (!reader.ReadU32(scenarios) || !reader.ReadU64(request.ensemble.seed) ||
-          !reader.ReadU32(month) || !reader.ReadU32(top) ||
-          !reader.ReadU8(json)) {
+      std::uint32_t pilot = 0;
+      std::uint32_t audit_stride = 0;
+      std::uint32_t base_rate_ppm = 0;
+      if (!reader.ReadU32(scenarios) ||
+          !reader.ReadU64(request.ensemble.seed) || !reader.ReadU32(month) ||
+          !reader.ReadU32(top) || !reader.ReadU8(json) ||
+          (triage &&
+           (!reader.ReadU32(pilot) || !reader.ReadU32(audit_stride) ||
+            !reader.ReadU32(base_rate_ppm)))) {
         return truncated();
       }
       if (scenarios == 0 || scenarios > limits.max_scenarios) {
@@ -309,42 +316,7 @@ util::ParseResult<Request> DecodeRequestPayload(
       request.ensemble.month = static_cast<int>(month);
       request.ensemble.top = top;
       request.ensemble.json = json != 0;
-      break;
-    }
-    case FrameKind::kEnsembleTriageRequest: {
-      std::uint32_t scenarios = 0;
-      std::uint32_t month = 0;
-      std::uint32_t top = 0;
-      std::uint8_t json = 0;
-      std::uint32_t pilot = 0;
-      std::uint32_t audit_stride = 0;
-      std::uint32_t base_rate_ppm = 0;
-      if (!reader.ReadU32(scenarios) ||
-          !reader.ReadU64(request.ensemble.seed) || !reader.ReadU32(month) ||
-          !reader.ReadU32(top) || !reader.ReadU8(json) ||
-          !reader.ReadU32(pilot) || !reader.ReadU32(audit_stride) ||
-          !reader.ReadU32(base_rate_ppm)) {
-        return truncated();
-      }
-      if (scenarios == 0 || scenarios > limits.max_scenarios) {
-        return Reject<Request>(
-            ParseErrorKind::kBadValue,
-            util::Format("scenarios %u outside [1, %u]", scenarios,
-                         limits.max_scenarios));
-      }
-      if (month > 12) {
-        return Reject<Request>(ParseErrorKind::kBadValue,
-                               util::Format("month %u outside [0, 12]", month));
-      }
-      if (top > limits.max_top) {
-        return Reject<Request>(
-            ParseErrorKind::kLimitExceeded,
-            util::Format("top %u exceeds limit %u", top, limits.max_top));
-      }
-      if (json > 1) {
-        return Reject<Request>(ParseErrorKind::kBadValue,
-                               "json flag must be 0 or 1");
-      }
+      if (!triage) break;
       if (pilot == 0 || pilot > limits.max_scenarios) {
         return Reject<Request>(
             ParseErrorKind::kBadValue,
@@ -363,10 +335,6 @@ util::ParseResult<Request> DecodeRequestPayload(
             util::Format("base_rate_ppm %u outside [1, 1000000]",
                          base_rate_ppm));
       }
-      request.ensemble.scenarios = scenarios;
-      request.ensemble.month = static_cast<int>(month);
-      request.ensemble.top = top;
-      request.ensemble.json = json != 0;
       request.ensemble.triage = true;
       request.ensemble.pilot = pilot;
       request.ensemble.audit_stride = audit_stride;

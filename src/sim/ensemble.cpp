@@ -1,7 +1,6 @@
 #include "sim/ensemble.h"
 
 #include <algorithm>
-#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -68,7 +67,13 @@ EnsembleEngine::EnsembleEngine(const core::RouteEngine& engine,
                                const std::vector<hazard::Catalog>& catalogs,
                                const EnsembleOptions& options,
                                util::ThreadPool* pool)
-    : engine_(&engine), catalogs_(&catalogs), options_(options) {
+    : EnsembleEngine(core::PairRoutes(engine, pool), catalogs, options) {}
+
+EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
+                               const std::vector<hazard::Catalog>& catalogs,
+                               const EnsembleOptions& options)
+    : engine_(&routes.engine()), catalogs_(&catalogs), options_(options) {
+  const core::RouteEngine& engine = *engine_;
   if (catalogs.empty()) {
     throw InvalidArgument("EnsembleEngine: no catalogs");
   }
@@ -172,57 +177,29 @@ EnsembleEngine::EnsembleEngine(const core::RouteEngine& engine,
                                 geo::ToUnitVec(geo::Interpolate(a, b, 0.75))});
   }
 
-  // Baseline upper-triangle bit-risk distances and path-edge masks: one
-  // targeted sweep per pair, parallel over sources with disjoint row
-  // slices (pair slots, so the mask slices are disjoint too).
-  const std::size_t pairs = n * (n - 1) / 2;
-  baseline_dist_.assign(pairs, kInf);
+  // Baseline distances, path-edge masks and per-edge usage (how many
+  // connected pairs route over each frozen edge: the static criticality
+  // rank the triage surrogate reads per footprint), all from the shared
+  // pair table's stored paths. A settled path is simple, so each of its
+  // hops is a distinct edge. Serial, in slot order.
+  const std::size_t pairs = routes.pair_count();
+  baseline_dist_.resize(pairs);
   mask_words_ = (edges_.size() + 63) / 64;
   pair_path_mask_.assign(pairs * mask_words_, 0);
-  util::ParallelFor(pool, n, [&](std::size_t i) {
-    thread_local core::DijkstraWorkspace workspace;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      engine.Run(workspace, i, engine.Alpha(i, j), j);
-      if (!workspace.Reached(j)) continue;
-      const std::size_t slot = PairSlot(i, j);
-      baseline_dist_[slot] = workspace.DistanceTo(j);
-      const core::Path path = workspace.PathTo(j);
-      std::uint64_t* mask = &pair_path_mask_[slot * mask_words_];
-      for (std::size_t h = 1; h < path.size(); ++h) {
-        const std::uint32_t id = EdgeIdFor(path[h - 1], path[h]);
-        mask[id / 64] |= std::uint64_t{1} << (id % 64);
-      }
-    }
-  });
-  for (const double d : baseline_dist_) {
-    if (d < kInf) {
-      baseline_ += d;
-      ++baseline_pairs_;
-    }
-  }
-
-  // Per-edge baseline usage: how many connected pairs route over each
-  // frozen edge. A serial popcount pass over the recorded path masks —
-  // the static criticality rank the triage surrogate reads per footprint.
   baseline_edge_usage_.assign(edges_.size(), 0);
-  for (std::size_t slot = 0; slot < baseline_dist_.size(); ++slot) {
+  for (std::size_t slot = 0; slot < pairs; ++slot) {
+    baseline_dist_[slot] = routes.BitRiskMiles(slot);
     if (baseline_dist_[slot] == kInf) continue;
-    const std::uint64_t* mask = &pair_path_mask_[slot * mask_words_];
-    for (std::size_t w = 0; w < mask_words_; ++w) {
-      std::uint64_t bits = mask[w];
-      while (bits != 0) {
-        const int bit = std::countr_zero(bits);
-        ++baseline_edge_usage_[w * 64 + static_cast<std::size_t>(bit)];
-        bits &= bits - 1;
-      }
+    baseline_ += baseline_dist_[slot];
+    ++baseline_pairs_;
+    const std::span<const std::uint32_t> path = routes.PathNodes(slot);
+    std::uint64_t* mask = &pair_path_mask_[slot * mask_words_];
+    for (std::size_t h = 1; h < path.size(); ++h) {
+      const std::uint32_t id = EdgeIdFor(path[h - 1], path[h]);
+      mask[id / 64] |= std::uint64_t{1} << (id % 64);
+      ++baseline_edge_usage_[id];
     }
   }
-}
-
-std::size_t EnsembleEngine::PairSlot(std::size_t i, std::size_t j) const {
-  // Row i starts after the triangle above it: i rows of (n-1), (n-2), ...
-  const std::size_t n = engine_->node_count();
-  return i * (2 * n - i - 1) / 2 + (j - i - 1);
 }
 
 std::uint32_t EnsembleEngine::EdgeIdFor(std::size_t u, std::size_t v) const {
@@ -396,9 +373,9 @@ ScenarioOutcome EnsembleEngine::Evaluate(const Scenario& scenario) const {
   thread_local core::DijkstraWorkspace workspace;
   std::uint64_t sweeps = 0;
   std::uint64_t skipped = 0;
+  std::size_t slot = 0;  // pair slots run in (i, j) order
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t slot = PairSlot(i, j);
+    for (std::size_t j = i + 1; j < n; ++j, ++slot) {
       const double base = baseline_dist_[slot];
       if (base == kInf) continue;  // never connected; out of universe
       if (dead[i] || dead[j]) {

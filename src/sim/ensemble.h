@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/edge_overlay.h"
+#include "core/pair_routes.h"
 #include "core/route_engine.h"
 #include "geo/distance.h"
 #include "geo/geo_point.h"
@@ -162,10 +163,11 @@ struct EnsembleReport {
 /// Batched Monte Carlo ensemble over a frozen RouteEngine.
 ///
 /// Construction freezes the sampling tables (event eligibility, catalog
-/// CDF, undirected edge table) and sweeps the baseline upper-triangle
-/// bit-risk distances once, recording each pair's baseline shortest-path
-/// edge set as a bitmask; Run / EvaluateScenarios then score scenarios
-/// against that baseline with one reused EdgeOverlay per scenario.
+/// CDF, undirected edge table) and copies the baseline upper-triangle
+/// bit-risk distances out of a core::PairRoutes table, turning each
+/// pair's stored baseline path into a bitmask of its edge ids; Run /
+/// EvaluateScenarios then score scenarios against that baseline with one
+/// reused EdgeOverlay per scenario.
 ///
 /// The path masks are the batched path's algorithmic edge: a scenario
 /// only removes capacity, so a pair whose recorded baseline path avoids
@@ -173,7 +175,8 @@ struct EnsembleReport {
 /// its overlay distance is bitwise equal to the baseline. Evaluate skips
 /// those sweeps outright (delta contribution exactly 0.0); only pairs
 /// whose baseline path intersects the failure set pay a targeted
-/// Dijkstra. The engine and catalogs must outlive this object.
+/// Dijkstra. The route engine and catalogs must outlive this object; the
+/// pair table need not.
 class EnsembleEngine {
  public:
   /// Throws InvalidArgument on empty catalogs, zero scenarios, a month
@@ -181,13 +184,20 @@ class EnsembleEngine {
   /// on out-of-domain sampling knobs (NaN/negative center_jitter,
   /// fringe_factor < 1, fringe_fail_scale or link_cut_prob outside
   /// [0, 1], criticality_top == 0 — NaN never passes).
-  /// `pool` parallelizes the baseline sweep only.
+  EnsembleEngine(const core::PairRoutes& routes,
+                 const std::vector<hazard::Catalog>& catalogs,
+                 const EnsembleOptions& options = {});
+
+  /// Sweeps a private PairRoutes table over `engine` (on `pool`) and
+  /// builds from it.
   EnsembleEngine(const core::RouteEngine& engine,
                  const std::vector<hazard::Catalog>& catalogs,
                  const EnsembleOptions& options = {},
                  util::ThreadPool* pool = nullptr);
 
   /// The engine keeps a pointer into `catalogs`; a temporary would dangle.
+  EnsembleEngine(const core::PairRoutes&, std::vector<hazard::Catalog>&&,
+                 const EnsembleOptions& = {}) = delete;
   EnsembleEngine(const core::RouteEngine&, std::vector<hazard::Catalog>&&,
                  const EnsembleOptions& = {}, util::ThreadPool* = nullptr) =
       delete;
@@ -235,7 +245,7 @@ class EnsembleEngine {
   /// How many baseline-connected pairs route over each frozen edge
   /// (indexed by undirected edge id): the static criticality rank the
   /// triage surrogate uses as a feature. Computed once at construction
-  /// from the recorded baseline path masks.
+  /// from the stored baseline paths.
   [[nodiscard]] std::span<const std::uint32_t> baseline_edge_usage() const {
     return baseline_edge_usage_;
   }
@@ -288,9 +298,8 @@ class EnsembleEngine {
   /// scale (a million draws is seconds, not minutes).
   std::vector<geo::UnitVec3> node_units_;
   std::vector<std::array<geo::UnitVec3, 3>> edge_span_units_;
-  /// Baseline bit-risk distance for pair (i, j), j > i, flat upper
-  /// triangle; +inf marks baseline-disconnected pairs (excluded
-  /// everywhere).
+  /// Baseline bit-risk distance per core::PairRoutes slot; +inf marks
+  /// baseline-disconnected pairs (excluded everywhere).
   std::vector<double> baseline_dist_;
   /// Per-pair bitmask (mask_words_ words each, same slot layout as
   /// baseline_dist_) of the undirected edge ids on the pair's baseline
@@ -302,7 +311,6 @@ class EnsembleEngine {
   double baseline_ = 0.0;
   std::size_t baseline_pairs_ = 0;
 
-  [[nodiscard]] std::size_t PairSlot(std::size_t i, std::size_t j) const;
   /// Id of the frozen undirected edge {u, v}; the edge must exist.
   [[nodiscard]] std::uint32_t EdgeIdFor(std::size_t u, std::size_t v) const;
 };

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -15,7 +16,9 @@
 #include "core/risk_graph.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
+#include "forecast/tracks.h"
 #include "geo/geo_point.h"
+#include "obs/metrics.h"
 #include "provision/augmentation.h"
 #include "tests/graph_fixtures.h"
 #include "util/thread_pool.h"
@@ -34,6 +37,14 @@ constexpr RiskParams kParams{1e5, 1e3};
 api::Service MakeService(const RiskGraph& graph,
                          const api::ServiceOptions& options = {}) {
   return api::Service(RouteEngine(graph, kParams), options);
+}
+
+/// SampleGraph with its forecast plane zeroed: a stream session needs a
+/// baseline freeze.
+RiskGraph BaselineGraph(std::size_t n, std::uint64_t seed) {
+  RiskGraph graph = SampleGraph(n, seed);
+  graph.SetForecastRisks(std::vector<double>(graph.node_count(), 0.0));
+  return graph;
 }
 
 class TempFile {
@@ -112,9 +123,12 @@ TEST(ApiServiceTest, SnapshotBootServesByteIdenticalBodies) {
 
   TempFile snapshot("snapshot_parity.rre");
   engine.SaveSnapshotFile(snapshot.path());
-  const api::Service live(std::move(engine));
+  util::ThreadPool pool(2);
+  api::ServiceOptions options;
+  options.pool = &pool;
+  const api::Service live(std::move(engine), options);
 
-  auto booted = api::Service::FromSnapshotFile(snapshot.path());
+  auto booted = api::Service::FromSnapshotFile(snapshot.path(), options);
   ASSERT_TRUE(booted.ok()) << booted.error().Render();
   const api::Service& frozen = booted.value();
 
@@ -217,7 +231,10 @@ TEST(ApiServiceTest, TriagedEnsembleBodiesAndAccounting) {
   request.audit_stride = 128;
   request.base_rate_ppm = 50'000;
 
-  const api::Service service = MakeService(graph);
+  util::ThreadPool pool(2);
+  api::ServiceOptions options;
+  options.pool = &pool;
+  const api::Service service = MakeService(graph, options);
   const api::EnsembleResponse text = service.Ensemble(request);
   ASSERT_TRUE(text.triaged.has_value());
   // The response's headline report IS the HT estimate.
@@ -286,10 +303,111 @@ TEST(ApiServiceTest, ProvisionZeroLinksThrows) {
 }
 
 TEST(ApiServiceTest, ServiceIsMovable) {
-  api::Service service = MakeService(SampleGraph(12, 31));
+  const RiskGraph graph = BaselineGraph(12, 31);
+  api::Service service = MakeService(graph);
   const std::string before = service.Ratios({}).body;
+  api::EnsembleRequest ensemble;
+  ensemble.scenarios = 8;
+  ensemble.top = 3;
+  const std::string ensemble_before = service.Ensemble(ensemble).body;
+  const auto texts = forecast::GenerateAdvisoryTexts(forecast::IreneTrack());
+  api::StreamAdvisoryRequest stream;
+  stream.bulletin = texts[0];
+  const std::string stream_before = service.StreamAdvisory(stream).body;
+
+  // The pair table and the stream session built before the move keep
+  // answering from the moved engine.
   api::Service moved = std::move(service);
   EXPECT_EQ(moved.Ratios({}).body, before);
+  EXPECT_EQ(moved.Ensemble(ensemble).body, ensemble_before);
+  const api::Service reference = MakeService(graph);
+  (void)reference.StreamAdvisory(stream);
+  stream.bulletin = texts[1];
+  EXPECT_EQ(moved.StreamAdvisory(stream).body,
+            reference.StreamAdvisory(stream).body);
+  stream.bulletin = texts[0];
+  stream.reset = true;
+  EXPECT_EQ(moved.StreamAdvisory(stream).body, stream_before);
+}
+
+TEST(ApiServiceTest, PairTableIsBuiltOnceAndOnlyForEnsembleAndStream) {
+  if (!obs::Enabled()) GTEST_SKIP() << "obs registry disabled";
+  obs::Counter& builds =
+      obs::MetricsRegistry::Global().GetCounter("core.pair_routes.builds");
+  const RiskGraph graph = BaselineGraph(16, 23);
+  util::ThreadPool pool(2);
+  api::ServiceOptions options;
+  options.pool = &pool;
+
+  {
+    const api::Service service = MakeService(graph, options);
+    const std::uint64_t before = builds.Total();
+    api::RouteRequest route;
+    route.from = "pop-0";
+    route.to = "pop-15";
+    (void)service.Route(route);
+    EXPECT_EQ(builds.Total() - before, 0u) << "a route request built it";
+    (void)service.Ratios({});
+    api::ProvisionRequest provision;
+    provision.links = 1;
+    (void)service.Provision(provision);
+    EXPECT_EQ(builds.Total() - before, 0u) << "ratios or provision built it";
+  }
+
+  const api::Service service = MakeService(graph, options);
+  const std::uint64_t before = builds.Total();
+  api::EnsembleRequest ensemble;
+  ensemble.scenarios = 16;
+  ensemble.top = 3;
+  (void)service.Ensemble(ensemble);
+  ensemble.seed = 7;
+  ensemble.month = 9;
+  (void)service.Ensemble(ensemble);
+  api::StreamAdvisoryRequest stream;
+  stream.bulletin =
+      forecast::GenerateAdvisoryTexts(forecast::IreneTrack()).front();
+  (void)service.StreamAdvisory(stream);
+  stream.reset = true;
+  (void)service.StreamAdvisory(stream);
+  EXPECT_EQ(builds.Total() - before, 1u);
+}
+
+TEST(ApiServiceTest, ConcurrentFirstRequestsShareOneTable) {
+  const RiskGraph graph = BaselineGraph(18, 37);
+  util::ThreadPool pool(2);
+  api::ServiceOptions options;
+  options.pool = &pool;
+  api::EnsembleRequest ensemble;
+  ensemble.scenarios = 24;
+  ensemble.top = 4;
+  ensemble.json = true;
+  api::StreamAdvisoryRequest stream;
+  stream.bulletin =
+      forecast::GenerateAdvisoryTexts(forecast::IreneTrack()).front();
+
+  std::string serial_ensemble;
+  std::string serial_stream;
+  {
+    const api::Service serial = MakeService(graph, options);
+    serial_ensemble = serial.Ensemble(ensemble).body;
+    serial_stream = serial.StreamAdvisory(stream).body;
+  }
+
+  obs::Counter& builds =
+      obs::MetricsRegistry::Global().GetCounter("core.pair_routes.builds");
+  const api::Service service = MakeService(graph, options);
+  const std::uint64_t before = builds.Total();
+  auto ensemble_body = std::async(std::launch::async, [&] {
+    return service.Ensemble(ensemble).body;
+  });
+  auto stream_body = std::async(std::launch::async, [&] {
+    return service.StreamAdvisory(stream).body;
+  });
+  EXPECT_EQ(ensemble_body.get(), serial_ensemble);
+  EXPECT_EQ(stream_body.get(), serial_stream);
+  if (obs::Enabled()) {
+    EXPECT_EQ(builds.Total() - before, 1u);
+  }
 }
 
 }  // namespace

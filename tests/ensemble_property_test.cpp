@@ -12,8 +12,10 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/pair_routes.h"
 #include "core/risk_graph.h"
 #include "core/route_engine.h"
 #include "hazard/synthesis.h"
@@ -140,6 +142,30 @@ TEST(EnsembleEngineTest, ValidatesOptions) {
   bad_fringe.fringe_factor = 0.5;
   EXPECT_THROW(EnsembleEngine(fx.engine, fx.catalogs, bad_fringe),
                InvalidArgument);
+}
+
+// An ensemble built from a shared core::PairRoutes table is the ensemble
+// the engine constructor builds: same baseline, same masks, same bytes.
+TEST(EnsembleEngineTest, SharedPairTableMatchesEngineConstructor) {
+  const EnsembleFixture fx;
+  const core::PairRoutes routes(fx.engine);
+  const std::pair<int, std::uint64_t> sets[] = {
+      {0, 2026}, {9, 2026}, {3, 7}, {12, 99}};
+  for (const auto& [month, seed] : sets) {
+    EnsembleOptions options = TestOptions(48, seed);
+    options.month = month;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "month " << month << ", seed "
+                                      << seed << ", " << threads
+                                      << " threads");
+      util::ThreadPool pool(threads);
+      const EnsembleEngine direct(fx.engine, fx.catalogs, options, &pool);
+      const EnsembleEngine shared(routes, fx.catalogs, options);
+      EXPECT_EQ(shared.Run(&pool).ToJson(), direct.Run(&pool).ToJson());
+      EXPECT_TRUE(std::ranges::equal(shared.baseline_edge_usage(),
+                                     direct.baseline_edge_usage()));
+    }
+  }
 }
 
 TEST(EnsembleEngineTest, DrawIsPureFunctionOfSeedAndIndex) {

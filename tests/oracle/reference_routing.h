@@ -115,6 +115,26 @@ class Dijkstra {
   std::size_t source_ = 0;
 };
 
+/// Eq 4 the pre-engine way: one targeted Dijkstra per unordered pair
+/// (j > i), per-source sums added in source order — the summation order
+/// RouteEngine::AggregateMinBitRisk reproduces bitwise.
+inline double AggregateMinBitRisk(const core::RiskGraph& graph,
+                                  const core::RiskParams& params) {
+  const std::size_t n = graph.node_count();
+  Dijkstra workspace;
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      workspace.Run(graph, i, BitRiskWeight{&graph, params, Alpha(graph, i, j)},
+                    j);
+      if (workspace.Reached(j)) sum += workspace.DistanceTo(j);
+    }
+    total += sum;
+  }
+  return total;
+}
+
 /// Folds `weight` over a path's hops in path order — the summation order
 /// RouteEngine::PathWeight uses. Throws InvalidArgument on a missing edge.
 template <typename WeightFn>

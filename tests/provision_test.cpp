@@ -291,6 +291,13 @@ TEST(Peering, IndexValidation) {
   PeeringFixture f;
   EXPECT_THROW((void)EnumerateCandidatePeers(f.corpus, 99, 25.0),
                InvalidArgument);
+  // The network index is validated before it indexes the merged graph.
+  const core::MergedGraph merged =
+      core::BuildMergedGraph(f.corpus, f.impacts, *f.field);
+  EXPECT_THROW(
+      (void)RecommendPeering(core::RouteEngine(merged.graph, RiskParams{1e5, 0}),
+                             merged, f.corpus, 99),
+      InvalidArgument);
 }
 
 }  // namespace

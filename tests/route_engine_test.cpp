@@ -9,11 +9,15 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backup_paths.h"
 #include "core/edge_overlay.h"
 #include "core/k_shortest.h"
+#include "core/pair_routes.h"
 #include "core/risk_params.h"
 #include "core/route_engine.h"
 #include "obs/metrics.h"
@@ -40,28 +44,6 @@ using core::RouteMetric;
 using fixtures::RandomGraph;
 using oracle::Alpha;
 using oracle::BitRiskWeight;
-
-/// Serial replica of the seed's AggregateMinBitRisk (Eq 4): one targeted
-/// oracle Dijkstra per unordered pair, per-source sums added in index
-/// order.
-double LegacyAggregateMinBitRisk(const RiskGraph& graph,
-                                 const RiskParams& params) {
-  const std::size_t n = graph.node_count();
-  oracle::Dijkstra workspace;
-  std::vector<double> per_source(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double alpha = Alpha(graph, i, j);
-      workspace.Run(graph, i, BitRiskWeight{&graph, params, alpha}, j);
-      if (workspace.Reached(j)) sum += workspace.DistanceTo(j);
-    }
-    per_source[i] = sum;
-  }
-  double total = 0.0;
-  for (const double v : per_source) total += v;
-  return total;
-}
 
 /// Serial replica of the seed's SumMinBitRisk over ordered pairs.
 double LegacySumMinBitRisk(const RiskGraph& graph, const RiskParams& params,
@@ -411,7 +393,7 @@ TEST(RouteEngineTest, AggregatesBitwiseMatchSeedReplicaAcrossThreadCounts) {
   const RiskParams params{1e4, 1e2};
   const RouteEngine engine(graph, params);
 
-  const double expected = LegacyAggregateMinBitRisk(graph, params);
+  const double expected = oracle::AggregateMinBitRisk(graph, params);
   EXPECT_EQ(engine.AggregateMinBitRisk(), expected);
 
   std::vector<std::size_t> sources{0, 3, 5, 9};
@@ -463,7 +445,7 @@ provision::AugmentationResult LegacyGreedyAugment(
     const provision::AugmentationOptions& options) {
   RiskGraph working = graph;
   provision::AugmentationResult result;
-  result.original_bit_risk_miles = LegacyAggregateMinBitRisk(working, params);
+  result.original_bit_risk_miles = oracle::AggregateMinBitRisk(working, params);
   std::vector<provision::CandidateLink> candidates =
       provision::EnumerateCandidateLinks(RouteEngine(working, params),
                                          options.candidates);
@@ -473,7 +455,7 @@ provision::AugmentationResult LegacyGreedyAugment(
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const provision::CandidateLink& link = candidates[c];
       working.AddEdge(link.a, link.b, link.direct_miles);
-      const double objective = LegacyAggregateMinBitRisk(working, params);
+      const double objective = oracle::AggregateMinBitRisk(working, params);
       working.RemoveEdge(link.a, link.b);
       if (objective < best_objective) {
         best_objective = objective;
@@ -656,6 +638,107 @@ TEST(RiskGraphEdgeRoundTripTest, RemoveThenReAddMatchesOverlaySemantics) {
     after_ws.Run(graph, s, BitRiskWeight{&graph, params, 0.0});
     for (std::size_t d = 0; d < original.node_count(); ++d) {
       ASSERT_EQ(before_ws.DistanceTo(d), after_ws.DistanceTo(d));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// core::PairRoutes: the per-pair baseline table the ensemble and the
+// streaming session share. Every stored answer must be bitwise the
+// targeted sweep a caller would run itself.
+
+void ExpectTableMatchesTargetedRuns(const RouteEngine& engine,
+                                    const core::PairRoutes& routes) {
+  DijkstraWorkspace ws;
+  const std::size_t n = engine.node_count();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const std::size_t slot = routes.Slot(i, j);
+      const std::span<const std::uint32_t> nodes = routes.PathNodes(slot);
+      engine.Run(ws, i, engine.Alpha(i, j), j);
+      if (!ws.Reached(j)) {
+        ASSERT_EQ(routes.BitRiskMiles(slot),
+                  std::numeric_limits<double>::infinity());
+        ASSERT_TRUE(nodes.empty());
+        continue;
+      }
+      ASSERT_EQ(routes.BitRiskMiles(slot), ws.DistanceTo(j))
+          << "pair " << i << "-" << j;
+      ASSERT_EQ(Path(nodes.begin(), nodes.end()), ws.PathTo(j))
+          << "pair " << i << "-" << j;
+    }
+  }
+}
+
+TEST(PairRoutesTest, SlotRoundTripsAndRejectsBadPairs) {
+  for (const std::size_t n : {0u, 1u, 2u, 17u}) {
+    util::Rng rng(n + 1);
+    const RouteEngine engine(RandomGraph(n, 0.2, rng), RiskParams{1e4, 1e2});
+    const core::PairRoutes routes(engine);
+    std::size_t slot = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j, ++slot) {
+        ASSERT_EQ(routes.Slot(i, j), slot) << "n " << n;
+        ASSERT_EQ(routes.Endpoints(slot), std::make_pair(i, j)) << "n " << n;
+      }
+    }
+    EXPECT_EQ(routes.pair_count(), slot) << "n " << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_THROW((void)routes.Slot(i, i), InvalidArgument);
+    }
+    if (n >= 2) {
+      EXPECT_THROW((void)routes.Slot(1, 0), InvalidArgument);
+    }
+    EXPECT_THROW((void)routes.Slot(0, n), InvalidArgument);
+    EXPECT_THROW((void)routes.Slot(0, n + 3), InvalidArgument);
+  }
+}
+
+TEST(PairRoutesTest, StoredAnswersMatchTargetedRunsAtAnyThreadCount) {
+  util::Rng rng(77);
+  const RiskGraph graph = RandomGraph(24, 0.15, rng);
+  for (const std::size_t landmarks : {0u, 4u}) {
+    RouteEngine engine(graph, RiskParams{1e5, 1e3});
+    if (landmarks > 0) engine.PrepareLandmarks(landmarks);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << landmarks << " landmarks, "
+                                      << threads << " threads");
+      util::ThreadPool pool(threads);
+      const core::PairRoutes routes(engine, &pool);
+      EXPECT_EQ(&routes.engine(), &engine);
+      ExpectTableMatchesTargetedRuns(engine, routes);
+    }
+  }
+}
+
+TEST(PairRoutesTest, UnreachablePairsHoldInfinityAndNoPath) {
+  // Two components: {0, 1, 2} and {3, 4}.
+  RiskGraph graph;
+  for (int i = 0; i < 5; ++i) {
+    graph.AddNode(RiskNode{"pop-" + std::to_string(i),
+                           geo::GeoPoint(30.0 + i, -100.0 + i), 0.2, 0.1,
+                           0.0});
+  }
+  graph.AddEdgeByDistance(0, 1);
+  graph.AddEdgeByDistance(1, 2);
+  graph.AddEdgeByDistance(3, 4);
+  const RouteEngine engine(graph, RiskParams{1e4, 1e2});
+  const core::PairRoutes routes(engine);
+  ExpectTableMatchesTargetedRuns(engine, routes);
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = i + 1; j < 5; ++j) {
+      const std::size_t slot = routes.Slot(i, j);
+      if ((i < 3) != (j < 3)) {
+        EXPECT_EQ(routes.BitRiskMiles(slot),
+                  std::numeric_limits<double>::infinity());
+        EXPECT_TRUE(routes.PathNodes(slot).empty());
+      } else {
+        EXPECT_LT(routes.BitRiskMiles(slot),
+                  std::numeric_limits<double>::infinity());
+        ASSERT_FALSE(routes.PathNodes(slot).empty());
+        EXPECT_EQ(routes.PathNodes(slot).front(), i);
+        EXPECT_EQ(routes.PathNodes(slot).back(), j);
+      }
     }
   }
 }

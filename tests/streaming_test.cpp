@@ -11,14 +11,17 @@
 // ride on top.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "api/service.h"
+#include "core/pair_routes.h"
 #include "core/risk_graph.h"
 #include "core/route_engine.h"
 #include "core/shortest_path.h"
@@ -361,6 +364,59 @@ TEST(StreamingTest, CacheHitCountersAccountForSkippedPairs) {
   }
   EXPECT_TRUE(partial_footprint_seen)
       << "footprint skip never fired — the cache plane is dead";
+}
+
+// Sessions started from one shared core::PairRoutes table replay exactly
+// like sessions that sweep a private table, and never disturb each other:
+// the table is read-only, every session's state is its own.
+TEST(StreamingTest, SharedPairTableReplaysLikeEngineConstructor) {
+  const RiskGraph graph = StreamGraph(20, 19);
+  RouteEngine engine(graph, kParams);
+  engine.PrepareLandmarks(4);
+  util::ThreadPool pool(2);
+  forecast::StreamOptions options;
+  options.pool = &pool;
+  const auto routes = std::make_shared<const core::PairRoutes>(engine, &pool);
+
+  forecast::StreamingReroute irene_private(engine, options);
+  forecast::StreamingReroute katrina_private(engine, options);
+  forecast::StreamingReroute irene_shared(routes, options);
+  forecast::StreamingReroute katrina_shared(routes, options);
+  const auto baseline = irene_private.Answers();
+  ASSERT_EQ(irene_shared.Answers(), baseline);
+
+  const auto irene = forecast::GenerateAdvisories(forecast::IreneTrack());
+  const auto katrina = forecast::GenerateAdvisories(forecast::KatrinaTrack());
+  std::size_t moves = 0;
+  for (std::size_t a = 0; a < std::max(irene.size(), katrina.size()); ++a) {
+    if (a < irene.size()) {
+      const auto want = irene_private.Ingest(irene[a]);
+      const auto got = irene_shared.Ingest(irene[a]);
+      ASSERT_TRUE(want.ok() && got.ok()) << "Irene #" << a;
+      moves += got.value().pairs_moved;
+      ASSERT_EQ(irene_shared.Render(got.value()),
+                irene_private.Render(want.value()));
+      ASSERT_EQ(irene_shared.Answers(), irene_private.Answers());
+    }
+    if (a < katrina.size()) {
+      const auto want = katrina_private.Ingest(katrina[a]);
+      const auto got = katrina_shared.Ingest(katrina[a]);
+      ASSERT_TRUE(want.ok() && got.ok()) << "Katrina #" << a;
+      ASSERT_EQ(katrina_shared.Render(got.value()),
+                katrina_private.Render(want.value()));
+      ASSERT_EQ(katrina_shared.Answers(), katrina_private.Answers());
+    }
+  }
+  EXPECT_GT(moves, 0u);
+  for (std::size_t i = 0; i < graph.node_count(); ++i) {
+    for (std::size_t j = i + 1; j < graph.node_count(); ++j) {
+      ASSERT_EQ(irene_shared.CurrentPath(i, j), irene_private.CurrentPath(i, j));
+      ASSERT_EQ(irene_shared.CurrentBitRiskMiles(i, j),
+                irene_private.CurrentBitRiskMiles(i, j));
+    }
+  }
+  // A session started after both replays still starts at the baseline.
+  EXPECT_EQ(forecast::StreamingReroute(routes, options).Answers(), baseline);
 }
 
 // ---------------------------------------------------------------------------
