@@ -94,7 +94,7 @@ double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
   std::size_t slot = 0;  // pair slots run in (i, j) order
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j, ++slot) {
-      const double base = fixture.routes.BitRiskMiles(slot);
+      const double base = fixture.routes.Weight(slot);
       if (base == std::numeric_limits<double>::infinity()) continue;
       if (dead[i] || dead[j]) continue;
       const oracle::BitRiskWeight eq1{&graph, kEnsembleBenchParams,

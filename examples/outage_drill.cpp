@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
   std::printf("\nDrilling %s (%zu PoPs) with %zu sampled disasters...\n",
               network_name.c_str(), graph.node_count(), trials);
   for (const double lambda : {1e4, 1e5, 1e6}) {
+    const core::RouteEngine engine(graph, core::RiskParams{lambda, 0});
     sim::OutageSimOptions options;
     options.trials = trials;
-    options.params = core::RiskParams{lambda, 0};
     const sim::OutageSimReport report =
-        sim::RunOutageSimulation(graph, catalogs, traffic, options, &pool);
+        sim::RunOutageSimulation(engine, catalogs, traffic, options, &pool);
     std::printf(
         "  lambda_h=%.0e: transit traffic hit %.3f%% (shortest) vs %.3f%% "
         "(RiskRoute) -> ratio %.2f; endpoint loss %.3f%%; mean PoPs "

@@ -10,22 +10,27 @@
 
 namespace riskroute::core {
 
-PairRoutes::PairRoutes(const RouteEngine& engine, util::ThreadPool* pool)
-    : engine_(&engine) {
+PairRoutes::PairRoutes(const RouteEngine& engine, util::ThreadPool* pool,
+                       RouteMetric metric)
+    : engine_(&engine), metric_(metric) {
   const std::size_t n = engine.node_count();
   const std::size_t pairs = n >= 2 ? n * (n - 1) / 2 : 0;
   dist_.assign(pairs, std::numeric_limits<double>::infinity());
   offsets_.assign(pairs + 1, 0);
 
-  // One targeted sweep per pair. Each source writes its own row of slots
-  // and its own node buffer; the buffers are concatenated in row order
-  // afterwards, so the layout does not depend on the thread schedule.
+  // One targeted sweep per pair, or one distance sweep per row. Each
+  // source writes its own row of slots and its own node buffer; the
+  // buffers are concatenated in row order afterwards, so the layout does
+  // not depend on the thread schedule.
   std::vector<std::vector<std::uint32_t>> row_nodes(n >= 2 ? n - 1 : 0);
   util::ParallelFor(pool, row_nodes.size(), [&](std::size_t i) {
     thread_local DijkstraWorkspace ws;
     const std::size_t first = Slot(i, i + 1);
+    if (metric == RouteMetric::kDistance) engine.RunDistance(ws, i);
     for (std::size_t j = i + 1; j < n; ++j) {
-      engine.Run(ws, i, engine.Alpha(i, j), j);
+      if (metric == RouteMetric::kBitRisk) {
+        engine.Run(ws, i, engine.Alpha(i, j), j);
+      }
       if (!ws.Reached(j)) continue;
       const std::size_t slot = first + (j - i - 1);
       dist_[slot] = ws.DistanceTo(j);

@@ -170,6 +170,9 @@ StreamingReroute::StreamingReroute(
     : routes_(std::move(routes)),
       options_(options),
       index_(EngineLocations(routes_->engine())) {
+  if (routes_->metric() != core::RouteMetric::kBitRisk) {
+    throw InvalidArgument("StreamingReroute: baseline table must be kBitRisk");
+  }
   const core::RouteEngine& engine = routes_->engine();
   const std::size_t n = engine.node_count();
   for (std::size_t v = 0; v < n; ++v) {
@@ -193,7 +196,7 @@ StreamingReroute::StreamingReroute(
     base_digest_[p] = NodesDigest(path);
     std::uint64_t* const mask = base_mask_.data() + p * mask_words_;
     for (const std::uint32_t v : path) mask[v / 64] |= 1ULL << (v % 64);
-    cur_brm_[p] = routes_->BitRiskMiles(p);
+    cur_brm_[p] = routes_->Weight(p);
   }
   cur_digest_ = base_digest_;
 
@@ -331,7 +334,7 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     if (recompute[k] == 0) {
       // The footprint released this pair: its optimum is the baseline
       // answer again (non-negative deltas never cheapen alternatives).
-      cur_brm_[p] = routes_->BitRiskMiles(p);
+      cur_brm_[p] = routes_->Weight(p);
       cur_digest_[p] = base_digest_[p];
       return;
     }
@@ -358,7 +361,7 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
   for (std::size_t k = 0; k < affected.size(); ++k) {
     const std::size_t p = affected[k];
     if (recompute[k] != 0) ++recomputed;
-    if (cur_brm_[p] != routes_->BitRiskMiles(p) ||
+    if (cur_brm_[p] != routes_->Weight(p) ||
         cur_digest_[p] != base_digest_[p]) {
       diverged.push_back(affected[k]);
     }

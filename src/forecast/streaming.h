@@ -132,9 +132,9 @@ struct PairAnswer {
 /// A rolling re-route session over one frozen baseline engine.
 class StreamingReroute {
  public:
-  /// Starts from the baseline answers in `routes`. Its engine must be a
-  /// baseline freeze: its forecast plane all-zero (throws
-  /// InvalidArgument otherwise) — the session owns the forecast
+  /// Starts from the baseline answers in `routes`, a kBitRisk table.
+  /// Its engine must be a baseline freeze: its forecast plane all-zero
+  /// (throws InvalidArgument otherwise) — the session owns the forecast
   /// dimension from here on. Landmarks may be prepared; sweeps then run
   /// goal-directed. No sweep runs here: the session derives its path
   /// digests and footprint masks from the stored paths.

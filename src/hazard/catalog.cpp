@@ -51,6 +51,22 @@ std::size_t PaperEventCount(HazardType type) {
   throw InternalError("unknown HazardType");
 }
 
+double DefaultDamageRadiusMiles(HazardType type) {
+  switch (type) {
+    case HazardType::kFemaHurricane:
+      return 120.0;
+    case HazardType::kFemaTornado:
+      return 25.0;
+    case HazardType::kFemaStorm:
+      return 60.0;
+    case HazardType::kNoaaEarthquake:
+      return 80.0;
+    case HazardType::kNoaaWind:
+      return 15.0;
+  }
+  throw InternalError("unknown HazardType");
+}
+
 Catalog::Catalog(HazardType type, std::vector<Event> events)
     : type_(type), events_(std::move(events)) {
   if (events_.empty()) throw InvalidArgument("Catalog: no events");

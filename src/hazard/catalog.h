@@ -33,6 +33,11 @@ enum class HazardType {
 /// The paper's event count for each catalog (Section 4.3 / Table 1).
 [[nodiscard]] std::size_t PaperEventCount(HazardType type);
 
+/// Physical damage footprint per hazard class (statute miles). Rough
+/// figures consistent with the events' phenomenology: hurricanes devastate
+/// wide swaths, tornadoes and localized wind events narrow tracks.
+[[nodiscard]] double DefaultDamageRadiusMiles(HazardType type);
+
 /// One historical event.
 struct Event {
   geo::GeoPoint location;

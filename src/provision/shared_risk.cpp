@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "geo/distance.h"
-#include "sim/outage_sim.h"
 #include "util/error.h"
 #include "util/philox.h"
 
@@ -85,7 +84,7 @@ SharedRiskReport AnalyzeSharedRisk(const topology::Network& a,
     const double radius =
         options.damage_radius_miles > 0.0
             ? options.damage_radius_miles
-            : sim::DefaultDamageRadiusMiles(catalog.type());
+            : hazard::DefaultDamageRadiusMiles(catalog.type());
     const bool in_a = EventHits(a, event.location, radius);
     const bool in_b = EventHits(b, event.location, radius);
     if (in_a) ++hits_a;

@@ -22,8 +22,8 @@ namespace riskroute::provision {
 struct SharedRiskOptions {
   /// PoPs within this distance count as co-located infrastructure.
   double colocation_radius_miles = 25.0;
-  /// Damage radius of a sampled event; <= 0 uses the per-type default of
-  /// the outage simulator.
+  /// Damage radius of a sampled event; <= 0 uses the per-type
+  /// hazard::DefaultDamageRadiusMiles.
   double damage_radius_miles = 100.0;
   std::size_t trials = 4000;
   std::uint64_t seed = 77;

@@ -10,7 +10,6 @@
 #include "geo/distance.h"
 #include "hazard/seasonal.h"
 #include "obs/metrics.h"
-#include "sim/outage_sim.h"
 #include "stats/summary.h"
 #include "util/error.h"
 #include "util/philox.h"
@@ -74,6 +73,9 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
                                const EnsembleOptions& options)
     : engine_(&routes.engine()), catalogs_(&catalogs), options_(options) {
   const core::RouteEngine& engine = *engine_;
+  if (routes.metric() != core::RouteMetric::kBitRisk) {
+    throw InvalidArgument("EnsembleEngine: baseline table must be kBitRisk");
+  }
   if (catalogs.empty()) {
     throw InvalidArgument("EnsembleEngine: no catalogs");
   }
@@ -110,9 +112,9 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
   }
 
   // Eligible event tables: with a month, only events in that month's
-  // meteorological season (the seasonal model's slicing); weights follow
-  // the historical archive mix, exactly as RunOutageSimulation's
-  // count-proportional catalog pick.
+  // meteorological season (the seasonal model's slicing). Every eligible
+  // event is equally likely, so catalog weights follow the historical
+  // archive mix.
   for (std::size_t c = 0; c < catalogs.size(); ++c) {
     CatalogSlice slice;
     slice.catalog = c;
@@ -188,7 +190,7 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
   pair_path_mask_.assign(pairs * mask_words_, 0);
   baseline_edge_usage_.assign(edges_.size(), 0);
   for (std::size_t slot = 0; slot < pairs; ++slot) {
-    baseline_dist_[slot] = routes.BitRiskMiles(slot);
+    baseline_dist_[slot] = routes.Weight(slot);
     if (baseline_dist_[slot] == kInf) continue;
     baseline_ += baseline_dist_[slot];
     ++baseline_pairs_;
@@ -244,7 +246,8 @@ Scenario EnsembleEngine::Draw(std::uint64_t k) const {
   scenario.type = catalog.type();
   scenario.event_month = event.month;
   scenario.radius_miles =
-      DefaultDamageRadiusMiles(catalog.type()) * options_.damage_radius_scale;
+      hazard::DefaultDamageRadiusMiles(catalog.type()) *
+      options_.damage_radius_scale;
   scenario.center = event.location;
   if (options_.center_jitter > 0.0) {
     const double bearing = rng.NextUniform(0.0, 360.0);

@@ -179,11 +179,11 @@ struct EnsembleReport {
 /// pair table need not.
 class EnsembleEngine {
  public:
-  /// Throws InvalidArgument on empty catalogs, zero scenarios, a month
-  /// outside 0-12, when the season filter leaves no eligible events, or
-  /// on out-of-domain sampling knobs (NaN/negative center_jitter,
-  /// fringe_factor < 1, fringe_fail_scale or link_cut_prob outside
-  /// [0, 1], criticality_top == 0 — NaN never passes).
+  /// Throws InvalidArgument on a kDistance table, empty catalogs, zero
+  /// scenarios, a month outside 0-12, when the season filter leaves no
+  /// eligible events, or on out-of-domain sampling knobs (NaN/negative
+  /// center_jitter, fringe_factor < 1, fringe_fail_scale or link_cut_prob
+  /// outside [0, 1], criticality_top == 0 — NaN never passes).
   EnsembleEngine(const core::PairRoutes& routes,
                  const std::vector<hazard::Catalog>& catalogs,
                  const EnsembleOptions& options = {});

@@ -3,40 +3,35 @@
 // End-to-end validation of the bit-risk metric: if o_h really predicts
 // where disasters strike, then routes that minimize bit-risk miles should
 // traverse disaster-stricken PoPs less often than geographic shortest
-// paths do. Each trial samples a disaster event from the historical
+// paths do. Trial k is EnsembleEngine::Draw(k) with no footprint jitter,
+// fringe failures or link cuts: one archive event from the historical
 // catalogs (so the event geography matches the risk model's training
-// data), disables every PoP inside the event's damage radius, and measures
-// the traffic volume whose precomputed path crossed a disabled PoP —
-// separately for shortest-path routing and RiskRoute routing. The paper
-// motivates exactly this comparison qualitatively (Sections 1 and 5);
-// the simulator quantifies it.
+// data) disables every PoP inside its damage radius. Each trial measures
+// the traffic volume whose stored path crossed a disabled PoP —
+// separately for shortest-path routing and RiskRoute routing, both read
+// from core::PairRoutes tables. The paper motivates exactly this
+// comparison qualitatively (Sections 1 and 5); the simulator quantifies
+// it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/risk_graph.h"
-#include "core/risk_params.h"
+#include "core/route_engine.h"
 #include "hazard/catalog.h"
 #include "sim/traffic.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace riskroute::sim {
 
-/// Physical damage footprint per hazard class (statute miles). Rough
-/// figures consistent with the events' phenomenology: hurricanes devastate
-/// wide swaths, tornadoes and localized wind events narrow tracks.
-[[nodiscard]] double DefaultDamageRadiusMiles(hazard::HazardType type);
-
 /// Simulation configuration.
 struct OutageSimOptions {
   std::size_t trials = 2000;
+  /// Philox key of the trial draws.
   std::uint64_t seed = 2024;
-  core::RiskParams params{1e5, 0.0};
-  /// Override the per-type damage radius; <= 0 keeps the default.
-  double damage_radius_miles = 0.0;
+  /// Multiplies every hazard type's default damage radius.
+  double damage_radius_scale = 1.0;
 };
 
 /// Aggregate outcome over all trials.
@@ -52,17 +47,21 @@ struct OutageSimReport {
   /// Mean number of PoPs disabled per event.
   double mean_pops_disabled = 0.0;
 
-  /// riskroute_affected / shortest_path_affected (1.0 when both zero);
-  /// < 1 means risk-aware routing dodged damage.
+  /// riskroute_affected / shortest_path_affected: 1.0 when both are zero,
+  /// +infinity when only RiskRoute lost transit traffic; < 1 means
+  /// risk-aware routing dodged damage.
   [[nodiscard]] double AffectedRatio() const;
 };
 
-/// Runs the simulation over a network graph. Paths for every PoP pair are
-/// precomputed once per routing scheme; each trial then only samples an
-/// event and marks disabled PoPs. Throws on an empty catalog list.
+/// Runs the simulation over a frozen engine (RiskRoute at the engine's
+/// params). Each unordered pair's traffic, both directions, rides its one
+/// stored path per routing. Trials run parallel over `pool` into
+/// per-trial slots summed in trial order, so the report is bitwise
+/// identical for any pool size. Throws InvalidArgument on an empty catalog
+/// list, zero trials or a traffic matrix of the wrong size.
 [[nodiscard]] OutageSimReport RunOutageSimulation(
-    const core::RiskGraph& graph, const std::vector<hazard::Catalog>& catalogs,
-    const TrafficMatrix& traffic, const OutageSimOptions& options = {},
-    util::ThreadPool* pool = nullptr);
+    const core::RouteEngine& engine,
+    const std::vector<hazard::Catalog>& catalogs, const TrafficMatrix& traffic,
+    const OutageSimOptions& options = {}, util::ThreadPool* pool = nullptr);
 
 }  // namespace riskroute::sim

@@ -142,6 +142,10 @@ TEST(EnsembleEngineTest, ValidatesOptions) {
   bad_fringe.fringe_factor = 0.5;
   EXPECT_THROW(EnsembleEngine(fx.engine, fx.catalogs, bad_fringe),
                InvalidArgument);
+  const core::PairRoutes miles(fx.engine, nullptr,
+                               core::RouteMetric::kDistance);
+  EXPECT_THROW(EnsembleEngine(miles, fx.catalogs, TestOptions()),
+               InvalidArgument);
 }
 
 // An ensemble built from a shared core::PairRoutes table is the ensemble

@@ -657,12 +657,12 @@ void ExpectTableMatchesTargetedRuns(const RouteEngine& engine,
       const std::span<const std::uint32_t> nodes = routes.PathNodes(slot);
       engine.Run(ws, i, engine.Alpha(i, j), j);
       if (!ws.Reached(j)) {
-        ASSERT_EQ(routes.BitRiskMiles(slot),
+        ASSERT_EQ(routes.Weight(slot),
                   std::numeric_limits<double>::infinity());
         ASSERT_TRUE(nodes.empty());
         continue;
       }
-      ASSERT_EQ(routes.BitRiskMiles(slot), ws.DistanceTo(j))
+      ASSERT_EQ(routes.Weight(slot), ws.DistanceTo(j))
           << "pair " << i << "-" << j;
       ASSERT_EQ(Path(nodes.begin(), nodes.end()), ws.PathTo(j))
           << "pair " << i << "-" << j;
@@ -729,16 +729,61 @@ TEST(PairRoutesTest, UnreachablePairsHoldInfinityAndNoPath) {
     for (std::size_t j = i + 1; j < 5; ++j) {
       const std::size_t slot = routes.Slot(i, j);
       if ((i < 3) != (j < 3)) {
-        EXPECT_EQ(routes.BitRiskMiles(slot),
+        EXPECT_EQ(routes.Weight(slot),
                   std::numeric_limits<double>::infinity());
         EXPECT_TRUE(routes.PathNodes(slot).empty());
       } else {
-        EXPECT_LT(routes.BitRiskMiles(slot),
+        EXPECT_LT(routes.Weight(slot),
                   std::numeric_limits<double>::infinity());
         ASSERT_FALSE(routes.PathNodes(slot).empty());
         EXPECT_EQ(routes.PathNodes(slot).front(), i);
         EXPECT_EQ(routes.PathNodes(slot).back(), j);
       }
+    }
+  }
+}
+
+// The kDistance table reads every pair off one full RunDistance tree per
+// row: the stored path is the tree path and the weight its miles.
+TEST(PairRoutesTest, DistanceTableMatchesRunDistance) {
+  util::Rng rng(91);
+  RiskGraph graph = RandomGraph(24, 0.15, rng);
+  // A detached two-PoP island: its pairs with the mainland are unreachable.
+  graph.AddNode(RiskNode{"island-0", geo::GeoPoint(47.0, -70.0), 0.1, 0.2,
+                         0.0});
+  graph.AddNode(RiskNode{"island-1", geo::GeoPoint(47.5, -69.0), 0.1, 0.2,
+                         0.0});
+  graph.AddEdgeByDistance(24, 25);
+  for (const std::size_t landmarks : {0u, 4u}) {
+    RouteEngine engine(graph, RiskParams{1e5, 1e3});
+    if (landmarks > 0) engine.PrepareLandmarks(landmarks);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << landmarks << " landmarks, "
+                                      << threads << " threads");
+      util::ThreadPool pool(threads);
+      const core::PairRoutes routes(engine, &pool, RouteMetric::kDistance);
+      EXPECT_EQ(routes.metric(), RouteMetric::kDistance);
+      DijkstraWorkspace ws;
+      std::size_t unreachable = 0;
+      for (std::size_t i = 0; i < engine.node_count(); ++i) {
+        engine.RunDistance(ws, i);
+        for (std::size_t j = i + 1; j < engine.node_count(); ++j) {
+          const std::size_t slot = routes.Slot(i, j);
+          const std::span<const std::uint32_t> nodes = routes.PathNodes(slot);
+          if (!ws.Reached(j)) {
+            ++unreachable;
+            ASSERT_EQ(routes.Weight(slot),
+                      std::numeric_limits<double>::infinity());
+            ASSERT_TRUE(nodes.empty());
+            continue;
+          }
+          ASSERT_EQ(routes.Weight(slot), ws.DistanceTo(j))
+              << "pair " << i << "-" << j;
+          ASSERT_EQ(Path(nodes.begin(), nodes.end()), ws.PathTo(j))
+              << "pair " << i << "-" << j;
+        }
+      }
+      EXPECT_EQ(unreachable, 2u * 24u);
     }
   }
 }

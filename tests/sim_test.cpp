@@ -3,12 +3,20 @@
 // extension of Section 5.2.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/route_engine.h"
+#include "hazard/catalog.h"
 #include "hazard/risk_field.h"
 #include "hazard/synthesis.h"
 #include "provision/shared_risk.h"
+#include "sim/ensemble.h"
 #include "sim/outage_sim.h"
 #include "sim/traffic.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace riskroute::sim {
 namespace {
@@ -88,13 +96,13 @@ TEST(OutageSim, RiskRouteDodgesDamageOnTheCorridorGraph) {
   // so RiskRoute (which prefers the northern detour) must lose less
   // transit traffic than shortest-path routing.
   const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 0});
   const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
   OutageSimOptions options;
   options.trials = 500;
-  options.params = core::RiskParams{1e5, 0};
-  options.damage_radius_miles = 80.0;
+  options.damage_radius_scale = 80.0 / 120.0;  // 80 mi hurricanes
   const OutageSimReport report =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, options);
+      RunOutageSimulation(engine, SouthernEvents(), traffic, options);
   EXPECT_EQ(report.trials, 500u);
   EXPECT_GT(report.shortest_path_affected, 0.0);
   EXPECT_LT(report.riskroute_affected, report.shortest_path_affected);
@@ -103,67 +111,136 @@ TEST(OutageSim, RiskRouteDodgesDamageOnTheCorridorGraph) {
 
 TEST(OutageSim, ZeroLambdaMakesRoutingsIdentical) {
   const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{0, 0});
   const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
   OutageSimOptions options;
   options.trials = 200;
-  options.params = core::RiskParams{0, 0};
   const OutageSimReport report =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, options);
+      RunOutageSimulation(engine, SouthernEvents(), traffic, options);
   EXPECT_DOUBLE_EQ(report.shortest_path_affected, report.riskroute_affected);
   EXPECT_DOUBLE_EQ(report.AffectedRatio(), 1.0);
 }
 
 TEST(OutageSim, Deterministic) {
   const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 0});
   const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
   OutageSimOptions options;
   options.trials = 100;
   const OutageSimReport a =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, options);
+      RunOutageSimulation(engine, SouthernEvents(), traffic, options);
   const OutageSimReport b =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, options);
+      RunOutageSimulation(engine, SouthernEvents(), traffic, options);
   EXPECT_DOUBLE_EQ(a.shortest_path_affected, b.shortest_path_affected);
   EXPECT_DOUBLE_EQ(a.riskroute_affected, b.riskroute_affected);
   EXPECT_DOUBLE_EQ(a.endpoint_loss, b.endpoint_loss);
 }
 
+TEST(OutageSim, BitwiseIdenticalAcrossThreadCounts) {
+  const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 0});
+  const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
+  const std::vector<hazard::Catalog> catalogs = SouthernEvents();
+  OutageSimOptions options;
+  options.trials = 300;
+  const OutageSimReport serial =
+      RunOutageSimulation(engine, catalogs, traffic, options);
+  ASSERT_GT(serial.shortest_path_affected, 0.0);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    util::ThreadPool pool(threads);
+    const OutageSimReport pooled =
+        RunOutageSimulation(engine, catalogs, traffic, options, &pool);
+    EXPECT_EQ(pooled.trials, serial.trials);
+    EXPECT_EQ(pooled.shortest_path_affected, serial.shortest_path_affected);
+    EXPECT_EQ(pooled.riskroute_affected, serial.riskroute_affected);
+    EXPECT_EQ(pooled.endpoint_loss, serial.endpoint_loss);
+    EXPECT_EQ(pooled.mean_pops_disabled, serial.mean_pops_disabled);
+  }
+}
+
+// Trial k is the ensemble's Draw(k) with jitter, fringe failures and link
+// cuts off: the simulator owns no event pick or footprint test of its own.
+TEST(OutageSim, TrialsAreEnsembleDraws) {
+  const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 0});
+  const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
+  const std::vector<hazard::Catalog> catalogs = SouthernEvents();
+  OutageSimOptions options;
+  options.trials = 400;
+  options.seed = 31;
+  options.damage_radius_scale = 0.75;
+  const OutageSimReport report =
+      RunOutageSimulation(engine, catalogs, traffic, options);
+
+  EnsembleOptions draws;
+  draws.scenarios = options.trials;
+  draws.seed = options.seed;
+  draws.damage_radius_scale = options.damage_radius_scale;
+  draws.center_jitter = 0.0;
+  draws.fringe_fail_scale = 0.0;
+  draws.link_cut_prob = 0.0;
+  const EnsembleEngine sampler(engine, catalogs, draws);
+  double pops = 0.0;
+  for (std::uint64_t k = 0; k < options.trials; ++k) {
+    const Scenario scenario = sampler.Draw(k);
+    EXPECT_TRUE(scenario.severed_edges.empty());
+    pops += static_cast<double>(scenario.failed_nodes.size());
+  }
+  ASSERT_GT(pops, 0.0);
+  EXPECT_EQ(report.mean_pops_disabled,
+            pops / static_cast<double>(options.trials));
+}
+
 TEST(OutageSim, EndpointLossIndependentOfRouting) {
   const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine risky(graph, core::RiskParams{1e5, 0});
+  const core::RouteEngine shortest(graph, core::RiskParams{0, 0});
   const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
-  OutageSimOptions a_options;
-  a_options.trials = 300;
-  a_options.params = core::RiskParams{1e5, 0};
-  OutageSimOptions b_options = a_options;
-  b_options.params = core::RiskParams{0, 0};
+  OutageSimOptions options;
+  options.trials = 300;
   const OutageSimReport a =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, a_options);
+      RunOutageSimulation(risky, SouthernEvents(), traffic, options);
   const OutageSimReport b =
-      RunOutageSimulation(graph, SouthernEvents(), traffic, b_options);
+      RunOutageSimulation(shortest, SouthernEvents(), traffic, options);
   EXPECT_DOUBLE_EQ(a.endpoint_loss, b.endpoint_loss);
   EXPECT_DOUBLE_EQ(a.mean_pops_disabled, b.mean_pops_disabled);
 }
 
+TEST(OutageSim, AffectedRatioCoversZeroShortestPathLoss) {
+  OutageSimReport report;
+  report.shortest_path_affected = 0.4;
+  report.riskroute_affected = 0.1;
+  EXPECT_EQ(report.AffectedRatio(), 0.25);
+  report.shortest_path_affected = 0.0;
+  report.riskroute_affected = 0.0;
+  EXPECT_EQ(report.AffectedRatio(), 1.0);
+  report.riskroute_affected = 0.1;
+  EXPECT_EQ(report.AffectedRatio(), std::numeric_limits<double>::infinity());
+}
+
 TEST(OutageSim, Validation) {
   const RiskGraph graph = CorridorGraph();
+  const core::RouteEngine engine(graph, core::RiskParams{1e5, 0});
   const TrafficMatrix traffic = TrafficMatrix::Gravity(graph);
-  EXPECT_THROW((void)RunOutageSimulation(graph, {}, traffic), InvalidArgument);
+  EXPECT_THROW((void)RunOutageSimulation(engine, {}, traffic), InvalidArgument);
   OutageSimOptions options;
   options.trials = 0;
   EXPECT_THROW(
-      (void)RunOutageSimulation(graph, SouthernEvents(), traffic, options),
+      (void)RunOutageSimulation(engine, SouthernEvents(), traffic, options),
       InvalidArgument);
   const TrafficMatrix wrong = TrafficMatrix::Uniform(7);
-  EXPECT_THROW((void)RunOutageSimulation(graph, SouthernEvents(), wrong),
+  EXPECT_THROW((void)RunOutageSimulation(engine, SouthernEvents(), wrong),
                InvalidArgument);
 }
 
 TEST(OutageSim, DamageRadiiDefinedForAllTypes) {
   for (const hazard::HazardType type : hazard::AllHazardTypes()) {
-    EXPECT_GT(DefaultDamageRadiusMiles(type), 0.0);
+    EXPECT_GT(hazard::DefaultDamageRadiusMiles(type), 0.0);
   }
   // Hurricanes out-damage localized wind events.
-  EXPECT_GT(DefaultDamageRadiusMiles(hazard::HazardType::kFemaHurricane),
-            DefaultDamageRadiusMiles(hazard::HazardType::kNoaaWind));
+  EXPECT_GT(hazard::DefaultDamageRadiusMiles(hazard::HazardType::kFemaHurricane),
+            hazard::DefaultDamageRadiusMiles(hazard::HazardType::kNoaaWind));
 }
 
 // ---------- shared risk ----------

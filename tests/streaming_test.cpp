@@ -190,6 +190,12 @@ TEST(StreamingTest, ConstructorRejectsNonBaselineEngine) {
   graph.SetForecastRisks(risks);
   const RouteEngine engine(graph, kParams);
   EXPECT_THROW(forecast::StreamingReroute session(engine), InvalidArgument);
+  // A miles table is not a baseline either.
+  const RouteEngine baseline(StreamGraph(8, 5), kParams);
+  EXPECT_THROW(forecast::StreamingReroute session(
+                   std::make_shared<const core::PairRoutes>(
+                       baseline, nullptr, core::RouteMetric::kDistance)),
+               InvalidArgument);
 }
 
 TEST(StreamingTest, EmptyFootprintAdvisoryYieldsEmptyDiff) {

@@ -63,6 +63,10 @@ CASES = {
     "route_level3_sla": ["route", "--network", "Level3",
                          "--from", "Houston, TX", "--to", "Boston, MA",
                          "--latency-budget", "18"] + COMMON,
+    # Outage validation: ensemble draws routed over the two PairRoutes
+    # tables (thread identity is pinned by the OutageSim unit tests).
+    "simulate_tinet": ["simulate", "--network", "Tinet", "--trials",
+                       "300"] + COMMON,
 }
 
 # Alias name -> (base case, extra CLI arguments). An alias replays its

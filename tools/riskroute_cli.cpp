@@ -369,13 +369,14 @@ int CmdSimulate(const Args& args) {
   const core::Study study = BuildStudy(args);
   const std::string network = args.GetOr("network", "Tinet");
   const core::RiskGraph graph = study.BuildGraphFor(network);
+  const core::RouteEngine engine(
+      graph, core::RiskParams{args.GetDouble("lambda-h", 1e5), 0.0});
   const sim::TrafficMatrix traffic = sim::TrafficMatrix::Gravity(graph);
   util::ThreadPool pool(PoolThreads(args));
   sim::OutageSimOptions options;
   options.trials = args.GetSize("trials", 2000);
-  options.params = core::RiskParams{args.GetDouble("lambda-h", 1e5), 0.0};
   const auto report = sim::RunOutageSimulation(
-      graph, hazard::SynthesizeAllCatalogs(), traffic, options, &pool);
+      engine, hazard::SynthesizeAllCatalogs(), traffic, options, &pool);
   std::printf(
       "trials %zu | transit hit: shortest %.3f%%, riskroute %.3f%% "
       "(ratio %.2f) | endpoint loss %.3f%%\n",
