@@ -11,6 +11,7 @@
 // records for the "ensemble" pair (floor 3x).
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -44,7 +45,7 @@ sim::EnsembleOptions BenchEnsembleOptions() {
 struct EnsembleBenchFixture {
   core::RiskGraph graph;
   core::RouteEngine engine;
-  core::PairRoutes routes;
+  std::shared_ptr<const core::PairRoutes> routes;
   std::vector<hazard::Catalog> catalogs;
   sim::EnsembleEngine ensemble;
   std::vector<sim::Scenario> scenarios;
@@ -52,7 +53,7 @@ struct EnsembleBenchFixture {
   EnsembleBenchFixture()
       : graph(bench::SharedStudy().BuildGraphFor("Digex")),
         engine(graph, kEnsembleBenchParams),
-        routes(engine),
+        routes(std::make_shared<const core::PairRoutes>(engine)),
         catalogs(hazard::SynthesizeAllCatalogs()),
         ensemble(routes, catalogs, BenchEnsembleOptions()) {
     for (std::uint64_t k = 0; scenarios.size() < kBenchScenarios; ++k) {
@@ -87,14 +88,14 @@ double LegacyScenarioDelta(const EnsembleBenchFixture& fixture,
   for (const std::size_t v : scenario.failed_nodes) dead[v] = true;
   std::unordered_set<std::uint64_t> severed;
   for (const std::uint32_t id : scenario.severed_edges) {
-    const auto& edge = fixture.ensemble.edge(id);
-    severed.insert(EdgeKey(edge.a, edge.b));
+    const core::Link& link = fixture.engine.link(id);
+    severed.insert(EdgeKey(link.a, link.b));
   }
   double delta = 0.0;
   std::size_t slot = 0;  // pair slots run in (i, j) order
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j, ++slot) {
-      const double base = fixture.routes.Weight(slot);
+      const double base = fixture.routes->Weight(slot);
       if (base == std::numeric_limits<double>::infinity()) continue;
       if (dead[i] || dead[j]) continue;
       const oracle::BitRiskWeight eq1{&graph, kEnsembleBenchParams,

@@ -216,7 +216,7 @@ EnsembleResponse Service::Ensemble(const EnsembleRequest& request) const {
   options.month = request.month;
   options.criticality_top = request.top;
 
-  const sim::EnsembleEngine ensemble(*Routes(), Catalogs(), options);
+  const sim::EnsembleEngine ensemble(Routes(), Catalogs(), options);
   EnsembleResponse response;
   if (request.triage) {
     sim::TriageOptions triage;

@@ -13,6 +13,13 @@
 // thread-count independent. Pairs live in upper-triangle slot order (row
 // i holds j = i+1 .. n-1); settled paths are flattened into one uint32
 // node-id array.
+//
+// The table also indexes its paths by link: for every engine link, the
+// ascending slots whose stored path crosses it (one uint32 per stored
+// hop). That answers "which pairs does a failure touch?" for the ensemble
+// (failed links) and the streaming session (a footprint node's pairs are
+// the union of its incident links' lists, since every connected pair's
+// path has at least one hop).
 #pragma once
 
 #include <cstddef>
@@ -29,8 +36,9 @@ namespace riskroute::core {
 class PairRoutes {
  public:
   /// Sweeps every pair once under `metric`; `pool` may be null (serial).
-  /// The engine must outlive the table. Counts `core.pair_routes.builds`
-  /// (stable).
+  /// The engine must outlive the table. Throws InvalidArgument when the
+  /// pair count does not fit a uint32 slot. Counts
+  /// `core.pair_routes.builds` (stable).
   explicit PairRoutes(const RouteEngine& engine,
                       util::ThreadPool* pool = nullptr,
                       RouteMetric metric = RouteMetric::kBitRisk);
@@ -41,7 +49,8 @@ class PairRoutes {
 
   /// Slot of the pair (i, j); throws InvalidArgument unless i < j < n.
   [[nodiscard]] std::size_t Slot(std::size_t i, std::size_t j) const;
-  /// The pair (i, j) stored at `slot` < pair_count(): Slot's inverse.
+  /// The pair (i, j) stored at `slot` < pair_count(): Slot's inverse, a
+  /// binary search over the row starts.
   [[nodiscard]] std::pair<std::size_t, std::size_t> Endpoints(
       std::size_t slot) const;
 
@@ -57,12 +66,31 @@ class PairRoutes {
             offsets_[slot + 1] - offsets_[slot]};
   }
 
+  /// Ascending slots whose stored path crosses engine link `link`.
+  [[nodiscard]] std::span<const std::uint32_t> LinkSlots(
+      std::size_t link) const {
+    return {link_slots_.data() + link_offsets_[link],
+            link_offsets_[link + 1] - link_offsets_[link]};
+  }
+  /// Ascending, de-duplicated slots whose stored path crosses any of
+  /// `links` (ids may repeat and come in any order).
+  [[nodiscard]] std::vector<std::uint32_t> SlotsCrossing(
+      std::span<const std::uint32_t> links) const;
+
  private:
+  /// First slot of row i.
+  [[nodiscard]] std::size_t RowStart(std::size_t i) const {
+    const std::size_t n = engine_->node_count();
+    return i * (2 * n - i - 1) / 2;  // (n-1) + (n-2) + ... + (n-i)
+  }
+
   const RouteEngine* engine_;
   RouteMetric metric_;
   std::vector<double> dist_;
   std::vector<std::size_t> offsets_;  // pair_count() + 1
   std::vector<std::uint32_t> nodes_;
+  std::vector<std::size_t> link_offsets_;   // engine link_count() + 1
+  std::vector<std::uint32_t> link_slots_;   // one per stored hop
 };
 
 }  // namespace riskroute::core

@@ -109,6 +109,45 @@ RouteEngine::RouteEngine(const RiskGraph& graph, const RiskParams& params)
   }
   risk_.resize(col_.size());
   RebuildRiskPlane();
+  if (const char* why = RebuildLinkTable()) {
+    throw InternalError(util::Format("RouteEngine: %s", why));
+  }
+}
+
+const char* RouteEngine::RebuildLinkTable() {
+  // Key every directed edge by its (low, high) endpoints. A well-formed
+  // CSR holds each key exactly twice: a -> b in row a, then b -> a. Rows,
+  // not node_count(): the loader sizes the node planes afterwards.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  keyed.reserve(col_.size());
+  for (std::uint32_t u = 0; u + 1 < row_offsets_.size(); ++u) {
+    for (std::uint32_t e = row_offsets_[u]; e < row_offsets_[u + 1]; ++e) {
+      if (col_[e] == u) return "CSR self-loop edge";
+      const std::uint64_t lo = std::min(u, col_[e]);
+      keyed.emplace_back(lo << 32 | std::max(u, col_[e]), e);
+    }
+  }
+  std::sort(keyed.begin(), keyed.end());
+  links_.clear();
+  edge_link_.assign(col_.size(), 0);
+  for (std::size_t k = 0; k < keyed.size(); k += 2) {
+    const std::uint64_t key = keyed[k].first;
+    if (k + 1 == keyed.size() || keyed[k + 1].first != key) {
+      return "CSR one-way edge";
+    }
+    const Link link{static_cast<std::uint32_t>(key >> 32),
+                    static_cast<std::uint32_t>(key),
+                    miles_[keyed[k].second]};
+    if ((k + 2 < keyed.size() && keyed[k + 2].first == key) ||
+        col_[keyed[k].second] != link.b ||
+        col_[keyed[k + 1].second] != link.a) {
+      return "CSR repeated edge";
+    }
+    edge_link_[keyed[k].second] = static_cast<std::uint32_t>(links_.size());
+    edge_link_[keyed[k + 1].second] = edge_link_[keyed[k].second];
+    links_.push_back(link);
+  }
+  return nullptr;
 }
 
 void RouteEngine::RebuildRiskPlane() {

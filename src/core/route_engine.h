@@ -11,7 +11,9 @@
 // lambda_h * o_h(head) + lambda_f * o_f(head) (the Equation 1 node term
 // for the engine's RiskParams). A relaxation under pair scale alpha then
 // costs `miles[e] + alpha * risk[e]`; alpha = 0 is exactly the distance
-// metric. CSR rows preserve adjacency-list iteration order, so every
+// metric. Each undirected edge is also one link, id'd in ascending
+// (a, b) order; `EdgeLink(e)` maps both of its directed edges to that
+// id. CSR rows preserve adjacency-list iteration order, so every
 // sweep is bitwise identical to a textbook callback Dijkstra over the
 // RiskGraph (same relaxation order, same heap evolution, same distances,
 // same parent chains); tests/oracle/reference_routing.h keeps that loop
@@ -76,6 +78,13 @@ struct RatioReport {
   /// pays extra mileage.
   double distance_increase_ratio = 0.0;
   std::size_t pair_count = 0;
+};
+
+/// One undirected frozen edge: a < b, carrying the miles of its a→b edge.
+struct Link {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  double miles = 0.0;
 };
 
 /// Which weight plane a batched sweep relaxes under.
@@ -151,6 +160,16 @@ class RouteEngine {
   /// edges are the overlay's business).
   [[nodiscard]] bool HasEdge(std::size_t a, std::size_t b) const;
 
+  /// The undirected link table, ascending (a, b): the id space of
+  /// ensemble severed links, criticality rows and the PairRoutes index.
+  [[nodiscard]] std::size_t link_count() const { return links_.size(); }
+  [[nodiscard]] const Link& link(std::size_t id) const { return links_[id]; }
+  /// Id of the link directed edge e belongs to; both directions of a
+  /// link share it, so a node's incident links are its row's EdgeLinks.
+  [[nodiscard]] std::uint32_t EdgeLink(std::size_t e) const {
+    return edge_link_[e];
+  }
+
   /// Replaces/clears every node's forecast risk and rebuilds the risk
   /// plane — the per-advisory update of the disaster case studies.
   /// Landmark tables stay valid: they bound the miles plane, which risk
@@ -195,8 +214,9 @@ class RouteEngine {
   [[nodiscard]] std::string SnapshotBytes() const;
 
   /// Parses a snapshot. Every field is validated (magic, version,
-  /// counts, monotone CSR offsets, finite non-negative miles, lat/lon
-  /// ranges, checksum, zero padding) and hostile bytes surface as a
+  /// counts, monotone CSR offsets, edges pairing into links with no
+  /// self-loop, one-way or repeated edge, finite non-negative miles,
+  /// lat/lon ranges, checksum, zero padding) and hostile bytes surface as a
   /// ParseDiagnostic — never UB or an exception. An accepted snapshot is
   /// canonical: SaveSnapshot of the loaded engine reproduces the input
   /// bytes exactly.
@@ -331,6 +351,10 @@ class RouteEngine {
   [[nodiscard]] double ParametricRowSum(std::size_t i) const;
 
   void RebuildRiskPlane();
+  /// Derives links_ and edge_link_ from the CSR. Returns null, or why
+  /// some directed edge does not pair with exactly one reverse edge (a
+  /// self-loop, one-way or repeated edge; a RiskGraph freeze has none).
+  [[nodiscard]] const char* RebuildLinkTable();
 
   RiskParams params_;
 
@@ -339,6 +363,8 @@ class RouteEngine {
   std::vector<std::uint32_t> col_;          // directed edge heads
   std::vector<double> miles_;               // distance plane
   std::vector<double> risk_;                // node-score plane, risk_[e] = node_score_[col_[e]]
+  std::vector<Link> links_;                 // undirected, ascending (a, b)
+  std::vector<std::uint32_t> edge_link_;    // directed edge -> link id
 
   // Frozen node attributes.
   std::vector<double> impact_;      // c_i

@@ -32,9 +32,10 @@
 //     name_offsets  u32 x (node_count + 1)
 //     name_blob     u8 x names_bytes
 //
-// The risk plane and node scores are derived state and are rebuilt on
-// load through the same RebuildRiskPlane expression the constructor uses,
-// so a loaded engine's sweeps are bitwise identical to the saved one's.
+// The risk plane, node scores and link table are derived state and are
+// rebuilt on load through the same RebuildRiskPlane / RebuildLinkTable
+// the constructor uses, so a loaded engine's sweeps are bitwise identical
+// to the saved one's.
 //
 // The 64-byte section alignment plus the raw-SoA layout keep the format
 // mmap-ready: a future server can map the file and point the CSR spans
@@ -371,6 +372,11 @@ util::ParseResult<RouteEngine> RouteEngine::LoadSnapshot(
   if (!AllFiniteNonNegative(engine.miles_)) {
     return Reject(ParseErrorKind::kBadValue,
                   "edge mileage must be finite and non-negative");
+  }
+  // Every directed edge must belong to exactly one undirected link, so
+  // nothing downstream of the loader meets an edge without one.
+  if (const char* why = engine.RebuildLinkTable()) {
+    return Reject(ParseErrorKind::kBadValue, why);
   }
   if (!AllFiniteNonNegative(engine.impact_) ||
       !AllFiniteNonNegative(engine.historical_) ||

@@ -56,14 +56,6 @@ std::vector<geo::GeoPoint> EngineLocations(const core::RouteEngine& engine) {
   return points;
 }
 
-bool MasksIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                    std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    if ((a[w] & b[w]) != 0) return true;
-  }
-  return false;
-}
-
 std::string PopLabel(const core::RouteEngine& engine, std::size_t v) {
   const std::string& name = engine.node_name(v);
   if (!name.empty()) return name;
@@ -86,6 +78,17 @@ std::uint64_t NodesDigest(const Nodes& path) {
   }
   return h;
 }
+
+/// One pair's answer: bit-risk miles (+inf when unreachable) and path.
+struct Answer {
+  double bit_risk_miles = 0.0;
+  std::span<const std::uint32_t> path;
+
+  [[nodiscard]] bool operator!=(const Answer& other) const {
+    return bit_risk_miles != other.bit_risk_miles ||
+           !std::ranges::equal(path, other.path);
+  }
+};
 
 }  // namespace
 
@@ -185,21 +188,6 @@ StreamingReroute::StreamingReroute(
   // The table's sweeps are the same flavor (goal-directed iff landmarks
   // are prepared) every later recompute and every from-scratch rebuild
   // uses, so skipped pairs replay bitwise the answer a rebuild settles.
-  const std::size_t pairs = routes_->pair_count();
-  mask_words_ = (n + 63) / 64;
-  base_digest_.resize(pairs);
-  base_mask_.assign(pairs * mask_words_, 0);
-  cur_brm_.resize(pairs);
-  cur_path_.resize(pairs);
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const std::span<const std::uint32_t> path = routes_->PathNodes(p);
-    base_digest_[p] = NodesDigest(path);
-    std::uint64_t* const mask = base_mask_.data() + p * mask_words_;
-    for (const std::uint32_t v : path) mask[v / 64] |= 1ULL << (v % 64);
-    cur_brm_[p] = routes_->Weight(p);
-  }
-  cur_digest_ = base_digest_;
-
   if (obs::Enabled()) StreamMetrics::Get().sessions.Add(1);
 }
 
@@ -277,9 +265,8 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
                                        std::span<const double> forecast) {
   const core::RouteEngine& engine = routes_->engine();
   const std::size_t n = engine.node_count();
-  const std::size_t pairs = routes_->pair_count();
   overlay_.Clear();
-  std::vector<std::uint64_t> scope_mask(mask_words_, 0);
+  std::vector<std::uint32_t> scope_links;
   if (!scope.empty()) {
     // Override plane: the engine's own baseline scores outside the
     // footprint (bitwise what a refreeze computes at forecast 0) and
@@ -289,7 +276,9 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
     for (std::size_t v = 0; v < n; ++v) scores[v] = engine.NodeScore(v);
     for (const std::size_t v : scope) {
       scores[v] = engine.ScoreWithForecast(v, forecast[v]);
-      scope_mask[v / 64] |= 1ULL << (v % 64);
+      for (std::size_t e = engine.EdgeBegin(v); e < engine.EdgeEnd(v); ++e) {
+        scope_links.push_back(engine.EdgeLink(e));
+      }
     }
     overlay_.SetNodeScoreOverride(std::move(scores));
   }
@@ -297,112 +286,133 @@ RouteDiff StreamingReroute::ApplyScope(std::span<const std::size_t> scope,
       scope.empty() ? nullptr : &overlay_;
 
   // Affected pairs: those whose baseline path crosses the footprint
-  // (must be re-routed against the overlay) plus those currently
-  // diverged from baseline (must be re-routed or reset). Everything
-  // else keeps its answer — those are the cache hits.
-  std::vector<std::uint32_t> affected;
-  std::vector<char> recompute;  // parallel to `affected`
-  std::size_t next_diverged = 0;
-  for (std::size_t p = 0; p < pairs; ++p) {
-    const bool hits_scope =
-        !scope.empty() &&
-        MasksIntersect(base_mask_.data() + p * mask_words_,
-                       scope_mask.data(), mask_words_);
-    bool was_diverged = false;
-    if (next_diverged < diverged_.size() && diverged_[next_diverged] == p) {
-      was_diverged = true;
-      ++next_diverged;
-    }
-    if (hits_scope || was_diverged) {
-      affected.push_back(static_cast<std::uint32_t>(p));
-      recompute.push_back(hits_scope ? 1 : 0);
-    }
-  }
-
-  // Snapshot the outgoing answers before overwriting them.
-  std::vector<double> old_brm(affected.size());
-  std::vector<std::uint64_t> old_digest(affected.size());
-  for (std::size_t k = 0; k < affected.size(); ++k) {
-    old_brm[k] = cur_brm_[affected[k]];
-    old_digest[k] = cur_digest_[affected[k]];
-  }
-
-  // Disjoint writes per affected pair: bitwise identical results for
-  // any thread count.
-  const auto reroute = [&](std::size_t k) {
-    const std::size_t p = affected[k];
-    if (recompute[k] == 0) {
-      // The footprint released this pair: its optimum is the baseline
-      // answer again (non-negative deltas never cheapen alternatives).
-      cur_brm_[p] = routes_->Weight(p);
-      cur_digest_[p] = base_digest_[p];
-      return;
-    }
-    thread_local core::DijkstraWorkspace ws;
-    const auto [src, dst] = routes_->Endpoints(p);
-    engine.Run(ws, src, engine.Alpha(src, dst), dst, overlay);
-    if (!ws.Reached(dst)) {
-      cur_brm_[p] = kInf;
-      cur_digest_[p] = 0;
-      cur_path_[p].clear();
-      return;
-    }
-    cur_brm_[p] = ws.DistanceTo(dst);
-    cur_path_[p] = ws.PathTo(dst);
-    cur_digest_[p] = PathDigest(cur_path_[p]);
+  // (re-routed against the overlay) merged with those diverged from the
+  // table (a diverged pair the footprint released is back at the table's
+  // answer: non-negative deltas never cheapen alternatives). Every other
+  // pair keeps its answer — those are the cache hits.
+  const std::vector<std::uint32_t> crossing =
+      routes_->SlotsCrossing(scope_links);
+  struct Step {
+    std::uint32_t slot = 0;
+    bool rerouted = false;
+    Diverged* before = nullptr;  // its diverged answer, if any
+    Diverged* after = nullptr;   // its diverged answer after this advisory
+    Diverged fresh;              // a new diverged answer (after == &fresh)
+    bool moved = false;
+    PairMove move;
   };
-  util::ParallelFor(options_.pool, affected.size(), reroute);
+  std::vector<Step> steps;
+  steps.reserve(crossing.size() + diverged_.size());
+  for (std::size_t c = 0, d = 0; c < crossing.size() || d < diverged_.size();) {
+    Step& step = steps.emplace_back();
+    step.rerouted = c < crossing.size() &&
+                    (d == diverged_.size() || crossing[c] <= diverged_[d].slot);
+    step.slot = step.rerouted ? crossing[c++] : diverged_[d].slot;
+    if (d < diverged_.size() && diverged_[d].slot == step.slot) {
+      step.before = &diverged_[d++];
+    }
+  }
+
+  // Disjoint writes per step: bitwise identical results for any thread
+  // count. Digests are taken only for the moves.
+  util::ParallelFor(options_.pool, steps.size(), [&](std::size_t k) {
+    thread_local core::DijkstraWorkspace ws;
+    thread_local std::vector<std::uint32_t> path;  // the re-routed path
+    Step& step = steps[k];
+    const Answer base{routes_->Weight(step.slot),
+                      routes_->PathNodes(step.slot)};
+    const Answer before =
+        step.before != nullptr
+            ? Answer{step.before->bit_risk_miles, step.before->path}
+            : base;
+    Answer now = base;
+    const auto [src, dst] = routes_->Endpoints(step.slot);
+    if (step.rerouted) {
+      engine.Run(ws, src, engine.Alpha(src, dst), dst, overlay);
+      const core::Path settled =
+          ws.Reached(dst) ? ws.PathTo(dst) : core::Path();
+      path.assign(settled.begin(), settled.end());
+      const Answer rerouted{ws.Reached(dst) ? ws.DistanceTo(dst) : kInf, path};
+      if (!(rerouted != before)) {
+        now = before;
+        step.after = step.before;
+      } else if (rerouted != base) {
+        now = rerouted;
+        step.after = &step.fresh;
+      }
+    }
+    step.moved = before != now;
+    if (step.moved) {
+      step.move = {static_cast<std::uint32_t>(src),
+                   static_cast<std::uint32_t>(dst),
+                   before.bit_risk_miles,
+                   now.bit_risk_miles,
+                   NodesDigest(before.path),
+                   NodesDigest(now.path)};
+    }
+    // Diverged paths are allocated and freed here, on the pool, not in
+    // the serial pass; an outgoing path's buffer takes the new path.
+    std::vector<std::uint32_t> buffer;
+    if (step.before != nullptr && step.after != step.before) {
+      buffer = std::move(step.before->path);
+    }
+    if (step.after == &step.fresh) {
+      buffer.assign(path.begin(), path.end());
+      step.fresh = {step.slot, now.bit_risk_miles, std::move(buffer)};
+    }
+  });
 
   // Serial diff + divergence rebuild in ascending pair order.
   RouteDiff diff;
-  diff.pairs_tracked = pairs;
-  std::size_t recomputed = 0;
-  std::vector<std::uint32_t> diverged;
-  for (std::size_t k = 0; k < affected.size(); ++k) {
-    const std::size_t p = affected[k];
-    if (recompute[k] != 0) ++recomputed;
-    if (cur_brm_[p] != routes_->Weight(p) ||
-        cur_digest_[p] != base_digest_[p]) {
-      diverged.push_back(affected[k]);
+  diff.pairs_tracked = routes_->pair_count();
+  std::vector<Diverged> diverged;
+  for (Step& step : steps) {
+    if (step.moved) {
+      diff.total_abs_delta += std::abs(step.move.Delta());
+      diff.moves.push_back(step.move);
     }
-    if (cur_brm_[p] != old_brm[k] || cur_digest_[p] != old_digest[k]) {
-      const auto [src, dst] = routes_->Endpoints(p);
-      PairMove move;
-      move.src = static_cast<std::uint32_t>(src);
-      move.dst = static_cast<std::uint32_t>(dst);
-      move.before_bit_risk_miles = old_brm[k];
-      move.after_bit_risk_miles = cur_brm_[p];
-      move.before_digest = old_digest[k];
-      move.after_digest = cur_digest_[p];
-      diff.total_abs_delta += std::abs(move.Delta());
-      diff.moves.push_back(move);
-    }
+    if (step.after != nullptr) diverged.push_back(std::move(*step.after));
   }
   diverged_ = std::move(diverged);
   diff.pops_in_scope = scope.size();
-  diff.pairs_recomputed = recomputed;
+  diff.pairs_recomputed = crossing.size();
   diff.pairs_moved = diff.moves.size();
   if (obs::Enabled()) {
     StreamMetrics& metrics = StreamMetrics::Get();
-    metrics.pairs_recomputed.Add(recomputed);
-    metrics.cache_hits.Add(pairs - recomputed);
+    metrics.pairs_recomputed.Add(crossing.size());
+    metrics.cache_hits.Add(diff.pairs_tracked - crossing.size());
     metrics.pairs_moved.Add(diff.moves.size());
   }
   return diff;
+}
+
+const StreamingReroute::Diverged* StreamingReroute::FindDiverged(
+    std::size_t slot) const {
+  const auto it = std::lower_bound(
+      diverged_.begin(), diverged_.end(), slot,
+      [](const Diverged& d, std::size_t s) { return d.slot < s; });
+  return it != diverged_.end() && it->slot == slot ? &*it : nullptr;
 }
 
 std::vector<PairAnswer> StreamingReroute::Answers() const {
   std::vector<PairAnswer> out;
   out.reserve(pair_count());
   const std::size_t n = engine().node_count();
+  auto next = diverged_.begin();
   std::size_t p = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j, ++p) {
       PairAnswer answer;
       answer.src = static_cast<std::uint32_t>(i);
       answer.dst = static_cast<std::uint32_t>(j);
-      answer.bit_risk_miles = cur_brm_[p];
-      answer.digest = cur_digest_[p];
+      if (next != diverged_.end() && next->slot == p) {
+        answer.bit_risk_miles = next->bit_risk_miles;
+        answer.digest = NodesDigest(next->path);
+        ++next;
+      } else {
+        answer.bit_risk_miles = routes_->Weight(p);
+        answer.digest = NodesDigest(routes_->PathNodes(p));
+      }
       out.push_back(answer);
     }
   }
@@ -412,16 +422,17 @@ std::vector<PairAnswer> StreamingReroute::Answers() const {
 core::Path StreamingReroute::CurrentPath(std::size_t src,
                                          std::size_t dst) const {
   const std::size_t p = routes_->Slot(src, dst);
-  if (std::binary_search(diverged_.begin(), diverged_.end(), p)) {
-    return cur_path_[p];
-  }
-  const std::span<const std::uint32_t> nodes = routes_->PathNodes(p);
+  const Diverged* d = FindDiverged(p);
+  const std::span<const std::uint32_t> nodes =
+      d != nullptr ? d->path : routes_->PathNodes(p);
   return core::Path(nodes.begin(), nodes.end());
 }
 
 double StreamingReroute::CurrentBitRiskMiles(std::size_t src,
                                              std::size_t dst) const {
-  return cur_brm_[routes_->Slot(src, dst)];
+  const std::size_t p = routes_->Slot(src, dst);
+  const Diverged* d = FindDiverged(p);
+  return d != nullptr ? d->bit_risk_miles : routes_->Weight(p);
 }
 
 std::string StreamingReroute::Render(const RouteDiff& diff) const {

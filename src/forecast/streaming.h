@@ -21,7 +21,9 @@
 //     whose settled baseline path avoids every footprint node keeps its
 //     baseline answer exactly (forecast deltas are non-negative, so
 //     they can only raise the cost of alternatives while leaving the
-//     baseline path's cost untouched) — those pairs are cache hits;
+//     baseline path's cost untouched) — those pairs are cache hits. The
+//     table's link index names the others: a node's pairs are the
+//     union of its incident links' lists;
 //  4. emits a structured RouteDiff: which pairs moved, per-pair
 //     bit-risk-mile deltas, and a source tag ("live" after a parsed
 //     advisory, "static-fallback" after reverting to the baseline
@@ -136,8 +138,8 @@ class StreamingReroute {
   /// Its engine must be a baseline freeze: its forecast plane all-zero
   /// (throws InvalidArgument otherwise) — the session owns the forecast
   /// dimension from here on. Landmarks may be prepared; sweeps then run
-  /// goal-directed. No sweep runs here: the session derives its path
-  /// digests and footprint masks from the stored paths.
+  /// goal-directed. Nothing here costs per pair: until an advisory
+  /// diverges a pair, its answer is read from the table.
   explicit StreamingReroute(std::shared_ptr<const core::PairRoutes> routes,
                             StreamOptions options = {});
 
@@ -190,23 +192,19 @@ class StreamingReroute {
   RouteDiff ApplyScope(std::span<const std::size_t> scope,
                        std::span<const double> forecast);
 
+  /// A pair whose current answer differs from the table's.
+  struct Diverged {
+    std::uint32_t slot = 0;
+    double bit_risk_miles = 0.0;       // +inf when unreachable
+    std::vector<std::uint32_t> path;   // empty when unreachable
+  };
+  /// The diverged entry for `slot`, or null when the table answers it.
+  [[nodiscard]] const Diverged* FindDiverged(std::size_t slot) const;
+
   std::shared_ptr<const core::PairRoutes> routes_;
   StreamOptions options_;
   spatial::KdTree index_;
-  std::size_t mask_words_ = 0;
-
-  // Derived from the table's baseline paths, per pair slot: the path
-  // digest and a node bitmask for the footprint-intersection skip test.
-  std::vector<std::uint64_t> base_digest_;
-  std::vector<std::uint64_t> base_mask_;  // pair_count() * mask_words_
-
-  // Current answers (== baseline until an advisory diverges a pair).
-  // cur_path_[p] is meaningful only while p is diverged; every other
-  // pair's current path is the table's.
-  std::vector<double> cur_brm_;
-  std::vector<std::uint64_t> cur_digest_;
-  std::vector<core::Path> cur_path_;
-  std::vector<std::uint32_t> diverged_;  // sorted pair slots != baseline
+  std::vector<Diverged> diverged_;  // ascending slot
 
   core::EdgeOverlay overlay_;
   int last_number_ = 0;

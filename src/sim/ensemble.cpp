@@ -36,8 +36,8 @@ struct EnsembleMetrics {
       reg.GetCounter("sim.ensemble.disconnected_pairs");
   /// Overlays built (one per non-empty scenario) vs pair sweeps run
   /// through them: the overlay-reuse ratio of the batched path. Skipped
-  /// sweeps are pairs whose baseline path missed the failure set, proven
-  /// unchanged by the path-mask test alone.
+  /// sweeps are live pairs whose baseline path missed the failure set:
+  /// no failed link's list in the pair table names them.
   obs::Counter& overlay_builds = reg.GetCounter("sim.ensemble.overlay_builds");
   obs::Counter& overlay_pair_sweeps =
       reg.GetCounter("sim.ensemble.overlay_pair_sweeps");
@@ -53,27 +53,21 @@ struct EnsembleMetrics {
   }
 };
 
-/// Shortest-double round trip: every finite double survives %.17g.
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 }  // namespace
 
 EnsembleEngine::EnsembleEngine(const core::RouteEngine& engine,
                                const std::vector<hazard::Catalog>& catalogs,
                                const EnsembleOptions& options,
                                util::ThreadPool* pool)
-    : EnsembleEngine(core::PairRoutes(engine, pool), catalogs, options) {}
+    : EnsembleEngine(std::make_shared<const core::PairRoutes>(engine, pool),
+                     catalogs, options) {}
 
-EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
+EnsembleEngine::EnsembleEngine(std::shared_ptr<const core::PairRoutes> routes,
                                const std::vector<hazard::Catalog>& catalogs,
                                const EnsembleOptions& options)
-    : engine_(&routes.engine()), catalogs_(&catalogs), options_(options) {
-  const core::RouteEngine& engine = *engine_;
-  if (routes.metric() != core::RouteMetric::kBitRisk) {
+    : routes_(std::move(routes)), catalogs_(&catalogs), options_(options) {
+  const core::RouteEngine& engine = routes_->engine();
+  if (routes_->metric() != core::RouteMetric::kBitRisk) {
     throw InvalidArgument("EnsembleEngine: baseline table must be kBitRisk");
   }
   if (catalogs.empty()) {
@@ -89,6 +83,11 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
   // ordered comparison, so `!(x >= lo) || !(x <= hi)` rejects it where
   // the naive `x < lo || x > hi` would let it slip through into the
   // coin-flip thresholds.
+  if (!(options_.damage_radius_scale > 0.0) ||
+      options_.damage_radius_scale > std::numeric_limits<double>::max()) {
+    throw InvalidArgument(
+        "EnsembleEngine: damage_radius_scale must be finite and > 0");
+  }
   if (!(options_.center_jitter >= 0.0) ||
       options_.center_jitter > std::numeric_limits<double>::max()) {
     throw InvalidArgument(
@@ -119,15 +118,21 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
     CatalogSlice slice;
     slice.catalog = c;
     const auto& events = catalogs[c].events();
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      if (options_.month != 0 &&
-          hazard::SeasonOfMonth(events[e].month) !=
-              hazard::SeasonOfMonth(options_.month)) {
-        continue;
+    if (options_.month == 0) {
+      slice.count = events.size();
+    } else {
+      if (events.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw InvalidArgument("EnsembleEngine: catalog exceeds uint32 events");
       }
-      slice.events.push_back(e);
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        if (hazard::SeasonOfMonth(events[e].month) ==
+            hazard::SeasonOfMonth(options_.month)) {
+          slice.events.push_back(static_cast<std::uint32_t>(e));
+        }
+      }
+      slice.count = slice.events.size();
     }
-    if (!slice.events.empty()) slices_.push_back(std::move(slice));
+    if (slice.count != 0) slices_.push_back(std::move(slice));
   }
   if (slices_.empty()) {
     throw InvalidArgument(
@@ -135,29 +140,11 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
   }
   slice_prefix_.reserve(slices_.size());
   for (const CatalogSlice& slice : slices_) {
-    slice_total_ += static_cast<std::uint64_t>(slice.events.size());
+    slice_total_ += slice.count;
     slice_prefix_.push_back(slice_total_);
   }
 
-  // Undirected edge table, ascending (a, b), with the per-tail row index
-  // that maps failed nodes to incident edge ids.
   const std::size_t n = engine.node_count();
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t e = engine.EdgeBegin(u); e < engine.EdgeEnd(u); ++e) {
-      const std::size_t head = engine.EdgeHead(e);
-      if (head > u) edges_.push_back({u, head, engine.EdgeMiles(e)});
-    }
-  }
-  std::sort(edges_.begin(), edges_.end(),
-            [](const UndirectedEdge& x, const UndirectedEdge& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
-  edge_row_.assign(n + 1, 0);
-  for (const UndirectedEdge& edge : edges_) {
-    ++edge_row_[edge.a + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) edge_row_[u + 1] += edge_row_[u];
-
   for (std::size_t v = 0; v < n; ++v) {
     max_node_score_ = std::max(max_node_score_, engine.NodeScore(v));
   }
@@ -170,46 +157,21 @@ EnsembleEngine::EnsembleEngine(const core::PairRoutes& routes,
   for (std::size_t v = 0; v < n; ++v) {
     node_units_.push_back(geo::ToUnitVec(engine.location(v)));
   }
-  edge_span_units_.reserve(edges_.size());
-  for (const UndirectedEdge& edge : edges_) {
-    const geo::GeoPoint& a = engine.location(edge.a);
-    const geo::GeoPoint& b = engine.location(edge.b);
-    edge_span_units_.push_back({geo::ToUnitVec(geo::Interpolate(a, b, 0.25)),
+  link_span_units_.reserve(engine.link_count());
+  for (std::size_t id = 0; id < engine.link_count(); ++id) {
+    const geo::GeoPoint& a = engine.location(engine.link(id).a);
+    const geo::GeoPoint& b = engine.location(engine.link(id).b);
+    link_span_units_.push_back({geo::ToUnitVec(geo::Interpolate(a, b, 0.25)),
                                 geo::ToUnitVec(geo::Interpolate(a, b, 0.5)),
                                 geo::ToUnitVec(geo::Interpolate(a, b, 0.75))});
   }
 
-  // Baseline distances, path-edge masks and per-edge usage (how many
-  // connected pairs route over each frozen edge: the static criticality
-  // rank the triage surrogate reads per footprint), all from the shared
-  // pair table's stored paths. A settled path is simple, so each of its
-  // hops is a distinct edge. Serial, in slot order.
-  const std::size_t pairs = routes.pair_count();
-  baseline_dist_.resize(pairs);
-  mask_words_ = (edges_.size() + 63) / 64;
-  pair_path_mask_.assign(pairs * mask_words_, 0);
-  baseline_edge_usage_.assign(edges_.size(), 0);
-  for (std::size_t slot = 0; slot < pairs; ++slot) {
-    baseline_dist_[slot] = routes.Weight(slot);
-    if (baseline_dist_[slot] == kInf) continue;
-    baseline_ += baseline_dist_[slot];
+  // The Eq 4 baseline over the connected pairs, summed in slot order.
+  for (std::size_t slot = 0; slot < routes_->pair_count(); ++slot) {
+    if (routes_->Weight(slot) == kInf) continue;
+    baseline_ += routes_->Weight(slot);
     ++baseline_pairs_;
-    const std::span<const std::uint32_t> path = routes.PathNodes(slot);
-    std::uint64_t* mask = &pair_path_mask_[slot * mask_words_];
-    for (std::size_t h = 1; h < path.size(); ++h) {
-      const std::uint32_t id = EdgeIdFor(path[h - 1], path[h]);
-      mask[id / 64] |= std::uint64_t{1} << (id % 64);
-      ++baseline_edge_usage_[id];
-    }
   }
-}
-
-std::uint32_t EnsembleEngine::EdgeIdFor(std::size_t u, std::size_t v) const {
-  if (u > v) std::swap(u, v);
-  for (std::uint32_t id = edge_row_[u]; id < edge_row_[u + 1]; ++id) {
-    if (edges_[id].b == v) return id;
-  }
-  throw InvalidArgument("EnsembleEngine: path hop is not a frozen edge");
 }
 
 std::vector<std::pair<std::size_t, std::uint64_t>>
@@ -217,8 +179,7 @@ EnsembleEngine::SliceLayout() const {
   std::vector<std::pair<std::size_t, std::uint64_t>> layout;
   layout.reserve(slices_.size());
   for (const CatalogSlice& slice : slices_) {
-    layout.emplace_back(slice.catalog,
-                        static_cast<std::uint64_t>(slice.events.size()));
+    layout.emplace_back(slice.catalog, slice.count);
   }
   return layout;
 }
@@ -241,8 +202,9 @@ Scenario EnsembleEngine::Draw(std::uint64_t k) const {
       slice_prefix_.begin());
   const CatalogSlice& slice = slices_[slice_id];
   const hazard::Catalog& catalog = (*catalogs_)[slice.catalog];
+  const std::size_t within = rng.NextIndex(slice.count);
   const hazard::Event& event =
-      catalog.events()[slice.events[rng.NextIndex(slice.events.size())]];
+      catalog.events()[options_.month == 0 ? within : slice.events[within]];
   scenario.type = catalog.type();
   scenario.event_month = event.month;
   scenario.radius_miles =
@@ -263,7 +225,8 @@ Scenario EnsembleEngine::Draw(std::uint64_t k) const {
   // tests are dot products against precomputed unit vectors (the cosine
   // of the central angle is monotone in arc length); only nodes inside
   // the fringe annulus recover an exact falloff distance.
-  const std::size_t n = engine_->node_count();
+  const core::RouteEngine& engine = routes_->engine();
+  const std::size_t n = engine.node_count();
   const double radius = scenario.radius_miles;
   const double fringe = options_.fringe_factor * radius;
   const geo::UnitVec3 center = geo::ToUnitVec(scenario.center);
@@ -281,23 +244,23 @@ Scenario EnsembleEngine::Draw(std::uint64_t k) const {
                        std::acos(std::clamp(cos_d, -1.0, 1.0));
       const double falloff = 1.0 - (d - radius) / (fringe - radius);
       const double p = options_.fringe_fail_scale *
-                       (engine_->NodeScore(v) / max_node_score_) * falloff;
+                       (engine.NodeScore(v) / max_node_score_) * falloff;
       if (rng.NextUniform() < p) scenario.failed_nodes.push_back(v);
     }
   }
 
   // Long-haul cuts: a surviving link whose span crosses the footprint is
-  // severed with link_cut_prob. Edge ids ascend, so draw order is fixed.
+  // severed with link_cut_prob. Link ids ascend, so draw order is fixed.
   if (options_.link_cut_prob > 0.0) {
     // Reusable scratch: a fresh vector per draw is measurable at
     // million-draw scale. Cleared by un-marking (failure sets are tiny).
     thread_local std::vector<bool> dead;
     dead.resize(std::max(dead.size(), n));
     for (const std::size_t v : scenario.failed_nodes) dead[v] = true;
-    for (std::uint32_t id = 0; id < edges_.size(); ++id) {
-      const UndirectedEdge& edge = edges_[id];
-      if (dead[edge.a] || dead[edge.b]) continue;
-      const std::array<geo::UnitVec3, 3>& span = edge_span_units_[id];
+    for (std::uint32_t id = 0; id < engine.link_count(); ++id) {
+      const core::Link& link = engine.link(id);
+      if (dead[link.a] || dead[link.b]) continue;
+      const std::array<geo::UnitVec3, 3>& span = link_span_units_[id];
       const double cos_span = std::max(
           {geo::Dot(span[0], center), geo::Dot(span[1], center),
            geo::Dot(span[2], center)});
@@ -314,9 +277,24 @@ core::EdgeOverlay EnsembleEngine::OverlayFor(const Scenario& scenario) const {
   core::EdgeOverlay overlay;
   for (const std::size_t v : scenario.failed_nodes) overlay.DisableNode(v);
   for (const std::uint32_t id : scenario.severed_edges) {
-    overlay.RemoveEdge(edges_[id].a, edges_[id].b);
+    const core::Link& link = routes_->engine().link(id);
+    overlay.RemoveEdge(link.a, link.b);
   }
   return overlay;
+}
+
+std::vector<std::uint32_t> EnsembleEngine::FailedLinks(
+    const Scenario& scenario) const {
+  const core::RouteEngine& engine = routes_->engine();
+  std::vector<std::uint32_t> links(scenario.severed_edges);
+  for (const std::size_t v : scenario.failed_nodes) {
+    for (std::size_t e = engine.EdgeBegin(v); e < engine.EdgeEnd(v); ++e) {
+      links.push_back(engine.EdgeLink(e));
+    }
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  return links;
 }
 
 ScenarioOutcome EnsembleEngine::Evaluate(const Scenario& scenario) const {
@@ -332,24 +310,7 @@ ScenarioOutcome EnsembleEngine::Evaluate(const Scenario& scenario) const {
   metrics.failed_pops.Add(outcome.failed_pops);
   metrics.severed_links.Add(outcome.severed_links);
 
-  // The failed frozen links this scenario takes out of service: severed
-  // spans plus every edge incident to a failed node.
-  for (const std::size_t v : scenario.failed_nodes) {
-    for (std::uint32_t id = edge_row_[v]; id < edge_row_[v + 1]; ++id) {
-      outcome.failed_edge_ids.push_back(id);
-    }
-    // Edges where v is the higher endpoint live in other rows.
-    for (std::uint32_t id = 0; id < edge_row_[v]; ++id) {
-      if (edges_[id].b == v) outcome.failed_edge_ids.push_back(id);
-    }
-  }
-  outcome.failed_edge_ids.insert(outcome.failed_edge_ids.end(),
-                                 scenario.severed_edges.begin(),
-                                 scenario.severed_edges.end());
-  std::sort(outcome.failed_edge_ids.begin(), outcome.failed_edge_ids.end());
-  outcome.failed_edge_ids.erase(std::unique(outcome.failed_edge_ids.begin(),
-                                            outcome.failed_edge_ids.end()),
-                                outcome.failed_edge_ids.end());
+  outcome.failed_edge_ids = FailedLinks(scenario);
 
   // An empty failure set perturbs nothing: the overlay sweeps would
   // reproduce the baseline bitwise, so skip them.
@@ -358,56 +319,39 @@ ScenarioOutcome EnsembleEngine::Evaluate(const Scenario& scenario) const {
     return outcome;
   }
 
-  const std::size_t n = engine_->node_count();
-  std::vector<bool> dead(n, false);
+  const core::RouteEngine& engine = routes_->engine();
+  std::vector<bool> dead(engine.node_count(), false);
   for (const std::size_t v : scenario.failed_nodes) dead[v] = true;
   const core::EdgeOverlay overlay = OverlayFor(scenario);
   metrics.overlay_builds.Add();
 
-  // The scenario's failed edges as a bitmask: a pair whose baseline path
-  // is disjoint from it keeps that path (failures only remove capacity),
-  // so its distance is bitwise unchanged and the sweep can be skipped —
-  // the delta contribution is exactly 0.0 either way.
-  std::vector<std::uint64_t> failed_mask(mask_words_, 0);
-  for (const std::uint32_t id : outcome.failed_edge_ids) {
-    failed_mask[id / 64] |= std::uint64_t{1} << (id % 64);
-  }
-
+  // Only the pairs whose baseline path crosses a failed link can change:
+  // any other pair keeps that path (failures only remove capacity), so
+  // its distance is bitwise unchanged and its delta exactly 0.0. A pair
+  // with a dead endpoint crosses that endpoint's incident links, so every
+  // endpoint pair is among the crossing slots too. Ascending slot order
+  // is the summation order of a sweep over every pair.
   thread_local core::DijkstraWorkspace workspace;
   std::uint64_t sweeps = 0;
-  std::uint64_t skipped = 0;
-  std::size_t slot = 0;  // pair slots run in (i, j) order
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j, ++slot) {
-      const double base = baseline_dist_[slot];
-      if (base == kInf) continue;  // never connected; out of universe
-      if (dead[i] || dead[j]) {
-        ++outcome.endpoint_pairs;
-        continue;
-      }
-      const std::uint64_t* mask = &pair_path_mask_[slot * mask_words_];
-      bool touched = false;
-      for (std::size_t w = 0; w < mask_words_; ++w) {
-        if ((mask[w] & failed_mask[w]) != 0) {
-          touched = true;
-          break;
-        }
-      }
-      if (!touched) {
-        ++skipped;
-        continue;
-      }
-      engine_->Run(workspace, i, engine_->Alpha(i, j), j, &overlay);
-      ++sweeps;
-      if (workspace.Reached(j)) {
-        outcome.delta_bit_risk_miles += workspace.DistanceTo(j) - base;
-      } else {
-        ++outcome.disconnected_pairs;
-      }
+  for (const std::uint32_t slot :
+       routes_->SlotsCrossing(outcome.failed_edge_ids)) {
+    const auto [i, j] = routes_->Endpoints(slot);
+    if (dead[i] || dead[j]) {
+      ++outcome.endpoint_pairs;
+      continue;
+    }
+    engine.Run(workspace, i, engine.Alpha(i, j), j, &overlay);
+    ++sweeps;
+    if (workspace.Reached(j)) {
+      outcome.delta_bit_risk_miles +=
+          workspace.DistanceTo(j) - routes_->Weight(slot);
+    } else {
+      ++outcome.disconnected_pairs;
     }
   }
   metrics.overlay_pair_sweeps.Add(sweeps);
-  metrics.skipped_pair_sweeps.Add(skipped);
+  metrics.skipped_pair_sweeps.Add(baseline_pairs_ - outcome.endpoint_pairs -
+                                  sweeps);
   metrics.endpoint_pairs.Add(outcome.endpoint_pairs);
   metrics.disconnected_pairs.Add(outcome.disconnected_pairs);
   return outcome;
@@ -441,11 +385,12 @@ EnsembleReport EnsembleEngine::Run(util::ThreadPool* pool) const {
 EnsembleReducer::EnsembleReducer(const EnsembleEngine& engine,
                                  std::size_t criticality_top)
     : engine_(&engine), top_(criticality_top), min_(kInf), max_(-kInf) {
-  links_.resize(engine.edge_count());
+  const core::RouteEngine& route = engine.route_engine();
+  links_.resize(route.link_count());
   for (std::size_t id = 0; id < links_.size(); ++id) {
-    links_[id].a = engine.edge(id).a;
-    links_[id].b = engine.edge(id).b;
-    links_[id].miles = engine.edge(id).miles;
+    links_[id].a = route.link(id).a;
+    links_[id].b = route.link(id).b;
+    links_[id].miles = route.link(id).miles;
   }
 }
 
@@ -534,7 +479,7 @@ EnsembleReport EnsembleReducer::Finish(std::uint64_t seed,
     if (links_[x].delta_sum != links_[y].delta_sum) {
       return links_[x].delta_sum > links_[y].delta_sum;
     }
-    return x < y;  // ascending edge id breaks ties deterministically
+    return x < y;  // ascending link id breaks ties deterministically
   });
   for (const std::size_t id : order) {
     if (report.criticality.size() >= top_) break;
@@ -544,60 +489,77 @@ EnsembleReport EnsembleReducer::Finish(std::uint64_t seed,
   return report;
 }
 
-std::string EnsembleReport::ToJson() const {
-  std::string out;
-  out.reserve(1024 + 128 * criticality.size());
-  char buf[64];
-  const auto field = [&](const char* key, double v, const char* tail) {
+void AppendJsonDouble(std::string& out, double v) {
+  // Shortest-double round trip: every finite double survives %.17g.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out += buf;
+}
+
+void AppendJsonSummary(std::string& out, const EnsembleReport& report) {
+  const auto field = [&](const char* key, double v) {
     out += "  \"";
     out += key;
     out += "\": ";
-    AppendDouble(out, v);
-    out += tail;
+    AppendJsonDouble(out, v);
+    out += ",\n";
   };
-  out += "{\n  \"schema\": \"riskroute.ensemble.v1\",\n";
-  std::snprintf(buf, sizeof(buf), "  \"seed\": %" PRIu64 ",\n", seed);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "  \"scenarios\": %zu,\n", scenarios);
-  out += buf;
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "  \"baseline_pairs\": %zu,\n",
-                baseline_pairs);
+                report.baseline_pairs);
   out += buf;
-  field("baseline_bit_risk_miles", baseline_bit_risk_miles, ",\n");
+  field("baseline_bit_risk_miles", report.baseline_bit_risk_miles);
   out += "  \"delta\": {";
   const struct {
     const char* key;
     double value;
   } delta_fields[] = {
-      {"mean", delta_mean}, {"variance", delta_variance},
-      {"min", delta_min},   {"max", delta_max},
-      {"p5", delta_p5},     {"p50", delta_p50},
-      {"p95", delta_p95},
+      {"mean", report.delta_mean}, {"variance", report.delta_variance},
+      {"min", report.delta_min},   {"max", report.delta_max},
+      {"p5", report.delta_p5},     {"p50", report.delta_p50},
+      {"p95", report.delta_p95},
   };
   for (std::size_t i = 0; i < std::size(delta_fields); ++i) {
     out += i == 0 ? "\"" : ", \"";
     out += delta_fields[i].key;
     out += "\": ";
-    AppendDouble(out, delta_fields[i].value);
+    AppendJsonDouble(out, delta_fields[i].value);
   }
   out += "},\n";
-  field("mean_failed_pops", mean_failed_pops, ",\n");
-  field("mean_severed_links", mean_severed_links, ",\n");
-  field("mean_endpoint_pairs", mean_endpoint_pairs, ",\n");
-  field("mean_disconnected_pairs", mean_disconnected_pairs, ",\n");
+  field("mean_failed_pops", report.mean_failed_pops);
+  field("mean_severed_links", report.mean_severed_links);
+  field("mean_endpoint_pairs", report.mean_endpoint_pairs);
+  field("mean_disconnected_pairs", report.mean_disconnected_pairs);
+}
+
+void AppendJsonCriticality(std::string& out, const EnsembleReport& report) {
   out += "  \"criticality\": [";
-  for (std::size_t i = 0; i < criticality.size(); ++i) {
-    const LinkCriticality& link = criticality[i];
+  char buf[128];
+  for (std::size_t i = 0; i < report.criticality.size(); ++i) {
+    const LinkCriticality& link = report.criticality[i];
     if (i != 0) out += ",";
     std::snprintf(buf, sizeof(buf),
                   "\n    {\"a\": %zu, \"b\": %zu, \"failures\": %" PRIu64
                   ", \"delta_sum\": ",
                   link.a, link.b, link.failures);
     out += buf;
-    AppendDouble(out, link.delta_sum);
+    AppendJsonDouble(out, link.delta_sum);
     out += "}";
   }
-  out += criticality.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  out += report.criticality.empty() ? "]\n}\n" : "\n  ]\n}\n";
+}
+
+std::string EnsembleReport::ToJson() const {
+  std::string out;
+  out.reserve(1024 + 128 * criticality.size());
+  char buf[64];
+  out += "{\n  \"schema\": \"riskroute.ensemble.v1\",\n";
+  std::snprintf(buf, sizeof(buf), "  \"seed\": %" PRIu64 ",\n", seed);
+  out += buf;
+  std::snprintf(buf, sizeof(buf), "  \"scenarios\": %zu,\n", scenarios);
+  out += buf;
+  AppendJsonSummary(out, *this);
+  AppendJsonCriticality(out, *this);
   return out;
 }
 

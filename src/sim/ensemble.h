@@ -32,6 +32,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -57,7 +58,7 @@ struct EnsembleOptions {
   /// 1-12 restricts draws to events in that month's meteorological
   /// season (the seasonal model's slices); 0 samples the annual archive.
   int month = 0;
-  /// Multiplies every hazard type's default damage radius.
+  /// Multiplies every hazard type's default damage radius; finite, > 0.
   double damage_radius_scale = 1.0;
   /// Footprint centers jitter uniformly within this fraction of the
   /// damage radius around the sampled event (0 replays events exactly).
@@ -85,7 +86,7 @@ struct Scenario {
   int event_month = 6;
   /// Failed PoPs, ascending node index.
   std::vector<std::size_t> failed_nodes;
-  /// Severed frozen links (ids into the engine's undirected edge table,
+  /// Severed frozen links (ids into the route engine's link table,
   /// ascending) whose endpoints both survived.
   std::vector<std::uint32_t> severed_edges;
 };
@@ -103,8 +104,8 @@ struct ScenarioOutcome {
   /// Unordered pairs alive at both ends but unreachable in-scenario
   /// (stranded; excluded from the delta, reported separately).
   std::uint32_t disconnected_pairs = 0;
-  /// Frozen undirected edges out of service this scenario (severed, or
-  /// incident to a failed node), ascending edge id.
+  /// Frozen links out of service this scenario (severed, or incident to
+  /// a failed node), ascending link id.
   std::vector<std::uint32_t> failed_edge_ids;
 };
 
@@ -151,7 +152,7 @@ struct EnsembleReport {
   double mean_endpoint_pairs = 0.0;
   double mean_disconnected_pairs = 0.0;
 
-  /// Top links by delta_sum (descending; ties by ascending edge id).
+  /// Top links by delta_sum (descending; ties by ascending link id).
   std::vector<LinkCriticality> criticality;
 
   /// Deterministic JSON export (%.17g doubles, fixed key order): bitwise
@@ -160,31 +161,40 @@ struct EnsembleReport {
   [[nodiscard]] std::string ToJson() const;
 };
 
+/// The JSON writers EnsembleReport::ToJson and TriagedReport::ToJson
+/// share (%.17g doubles, fixed key order). AppendJsonSummary writes the
+/// members "baseline_pairs" through "mean_disconnected_pairs", one per
+/// line; AppendJsonCriticality the "criticality" array and the closing
+/// brace of the document.
+void AppendJsonDouble(std::string& out, double v);
+void AppendJsonSummary(std::string& out, const EnsembleReport& report);
+void AppendJsonCriticality(std::string& out, const EnsembleReport& report);
+
 /// Batched Monte Carlo ensemble over a frozen RouteEngine.
 ///
 /// Construction freezes the sampling tables (event eligibility, catalog
-/// CDF, undirected edge table) and copies the baseline upper-triangle
-/// bit-risk distances out of a core::PairRoutes table, turning each
-/// pair's stored baseline path into a bitmask of its edge ids; Run /
-/// EvaluateScenarios then score scenarios against that baseline with one
-/// reused EdgeOverlay per scenario.
+/// CDF, footprint geometry) and sums the baseline of a shared
+/// core::PairRoutes table; Run / EvaluateScenarios then score scenarios
+/// against that baseline with one reused EdgeOverlay per scenario.
 ///
-/// The path masks are the batched path's algorithmic edge: a scenario
-/// only removes capacity, so a pair whose recorded baseline path avoids
-/// every failed edge keeps that path — same hops, same weight sum — and
-/// its overlay distance is bitwise equal to the baseline. Evaluate skips
-/// those sweeps outright (delta contribution exactly 0.0); only pairs
+/// The table's link index is the batched path's algorithmic edge: a
+/// scenario only removes capacity, so a pair whose recorded baseline
+/// path avoids every failed link keeps that path — same hops, same
+/// weight sum — and its overlay distance is bitwise equal to the
+/// baseline. Evaluate visits only the slots the failed links' lists name
+/// (delta contribution of every other pair exactly 0.0), so only pairs
 /// whose baseline path intersects the failure set pay a targeted
-/// Dijkstra. The route engine and catalogs must outlive this object; the
-/// pair table need not.
+/// Dijkstra. The route engine and catalogs must outlive this object.
 class EnsembleEngine {
  public:
   /// Throws InvalidArgument on a kDistance table, empty catalogs, zero
   /// scenarios, a month outside 0-12, when the season filter leaves no
-  /// eligible events, or on out-of-domain sampling knobs (NaN/negative
-  /// center_jitter, fringe_factor < 1, fringe_fail_scale or link_cut_prob
-  /// outside [0, 1], criticality_top == 0 — NaN never passes).
-  EnsembleEngine(const core::PairRoutes& routes,
+  /// eligible events, or on out-of-domain sampling knobs (a
+  /// damage_radius_scale that is not finite and > 0, NaN/negative
+  /// center_jitter, fringe_factor < 1, fringe_fail_scale or
+  /// link_cut_prob outside [0, 1], criticality_top == 0 — NaN never
+  /// passes).
+  EnsembleEngine(std::shared_ptr<const core::PairRoutes> routes,
                  const std::vector<hazard::Catalog>& catalogs,
                  const EnsembleOptions& options = {});
 
@@ -196,7 +206,8 @@ class EnsembleEngine {
                  util::ThreadPool* pool = nullptr);
 
   /// The engine keeps a pointer into `catalogs`; a temporary would dangle.
-  EnsembleEngine(const core::PairRoutes&, std::vector<hazard::Catalog>&&,
+  EnsembleEngine(std::shared_ptr<const core::PairRoutes>,
+                 std::vector<hazard::Catalog>&&,
                  const EnsembleOptions& = {}) = delete;
   EnsembleEngine(const core::RouteEngine&, std::vector<hazard::Catalog>&&,
                  const EnsembleOptions& = {}, util::ThreadPool* = nullptr) =
@@ -207,6 +218,11 @@ class EnsembleEngine {
 
   /// The failure set as a zero-copy overlay for engine sweeps.
   [[nodiscard]] core::EdgeOverlay OverlayFor(const Scenario& scenario) const;
+
+  /// The links a scenario takes out of service: its severed links plus
+  /// every link incident to a failed node, ascending and de-duplicated.
+  [[nodiscard]] std::vector<std::uint32_t> FailedLinks(
+      const Scenario& scenario) const;
 
   /// Scores one scenario against the baseline; thread-safe.
   [[nodiscard]] ScenarioOutcome Evaluate(const Scenario& scenario) const;
@@ -225,37 +241,16 @@ class EnsembleEngine {
   [[nodiscard]] const EnsembleOptions& options() const { return options_; }
   [[nodiscard]] double baseline_bit_risk_miles() const { return baseline_; }
   [[nodiscard]] std::size_t baseline_pairs() const { return baseline_pairs_; }
-  /// The frozen routing engine the ensemble scores against.
+  /// The frozen routing engine the ensemble scores against; its link
+  /// table is the id space of Scenario::severed_edges and criticality
+  /// rows.
   [[nodiscard]] const core::RouteEngine& route_engine() const {
-    return *engine_;
+    return routes_->engine();
   }
-
-  /// The engine's undirected edge table (a < b, ascending (a, b)); the
-  /// id space of Scenario::severed_edges and criticality rows.
-  struct UndirectedEdge {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    double miles = 0.0;
-  };
-  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-  [[nodiscard]] const UndirectedEdge& edge(std::size_t id) const {
-    return edges_[id];
-  }
-
-  /// How many baseline-connected pairs route over each frozen edge
-  /// (indexed by undirected edge id): the static criticality rank the
-  /// triage surrogate uses as a feature. Computed once at construction
-  /// from the stored baseline paths.
-  [[nodiscard]] std::span<const std::uint32_t> baseline_edge_usage() const {
-    return baseline_edge_usage_;
-  }
-  /// Edge-id range [begin, end) of undirected edges whose lower endpoint
-  /// is u; edges with u as the higher endpoint live in lower rows.
-  [[nodiscard]] std::uint32_t EdgeRowBegin(std::size_t u) const {
-    return edge_row_[u];
-  }
-  [[nodiscard]] std::uint32_t EdgeRowEnd(std::size_t u) const {
-    return edge_row_[u + 1];
+  /// The baseline table; LinkSlots(id).size() is how many baseline
+  /// pairs route over link id, the triage surrogate's usage feature.
+  [[nodiscard]] const core::PairRoutes& pair_routes() const {
+    return *routes_;
   }
 
   /// Per-slice (catalog index, eligible event count) in draw order: the
@@ -269,10 +264,13 @@ class EnsembleEngine {
   /// Eligible (catalog, event) sampling tables under the season filter.
   struct CatalogSlice {
     std::size_t catalog = 0;
-    std::vector<std::size_t> events;  // indices into the catalog
+    std::uint64_t count = 0;  // eligible events
+    /// Indices into the catalog under a season filter; empty at month 0,
+    /// where the slice is the whole catalog.
+    std::vector<std::uint32_t> events;
   };
 
-  const core::RouteEngine* engine_;
+  std::shared_ptr<const core::PairRoutes> routes_;
   const std::vector<hazard::Catalog>* catalogs_;
   EnsembleOptions options_;
 
@@ -284,11 +282,6 @@ class EnsembleEngine {
   std::vector<std::uint64_t> slice_prefix_;
   std::uint64_t slice_total_ = 0;
 
-  std::vector<UndirectedEdge> edges_;
-  /// First undirected edge id with .a == u (size N + 1): maps a failed
-  /// node to its incident edge-id range in O(degree).
-  std::vector<std::uint32_t> edge_row_;
-
   double max_node_score_ = 0.0;
   /// Unit direction vectors of the PoP locations and of three sample
   /// points along each frozen link span (t = 0.25/0.5/0.75), precomputed
@@ -297,22 +290,9 @@ class EnsembleEngine {
   /// difference between ~29us and ~3us per draw at continental archive
   /// scale (a million draws is seconds, not minutes).
   std::vector<geo::UnitVec3> node_units_;
-  std::vector<std::array<geo::UnitVec3, 3>> edge_span_units_;
-  /// Baseline bit-risk distance per core::PairRoutes slot; +inf marks
-  /// baseline-disconnected pairs (excluded everywhere).
-  std::vector<double> baseline_dist_;
-  /// Per-pair bitmask (mask_words_ words each, same slot layout as
-  /// baseline_dist_) of the undirected edge ids on the pair's baseline
-  /// shortest path. A scenario whose failed-edge mask is disjoint leaves
-  /// the pair's distance bitwise unchanged.
-  std::size_t mask_words_ = 0;
-  std::vector<std::uint64_t> pair_path_mask_;
-  std::vector<std::uint32_t> baseline_edge_usage_;
+  std::vector<std::array<geo::UnitVec3, 3>> link_span_units_;
   double baseline_ = 0.0;
   std::size_t baseline_pairs_ = 0;
-
-  /// Id of the frozen undirected edge {u, v}; the edge must exist.
-  [[nodiscard]] std::uint32_t EdgeIdFor(std::size_t u, std::size_t v) const;
 };
 
 /// The single fixed-order reduction path behind EnsembleEngine::Run and
@@ -327,7 +307,7 @@ class EnsembleEngine {
 /// the integers 1..n.
 class EnsembleReducer {
  public:
-  /// `engine` supplies the frozen edge table for the criticality rows.
+  /// `engine` supplies the frozen link table for the criticality rows.
   EnsembleReducer(const EnsembleEngine& engine, std::size_t criticality_top);
 
   /// Folds one evaluated outcome in with Horvitz-Thompson weight

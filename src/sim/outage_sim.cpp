@@ -1,7 +1,10 @@
 #include "sim/outage_sim.h"
 
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "core/pair_routes.h"
 #include "sim/ensemble.h"
@@ -18,13 +21,23 @@ struct TrialLoss {
   double pops = 0.0;
 };
 
-/// True when a transit node of `path` (endpoints excluded) is dead.
-bool CrossesDead(std::span<const std::uint32_t> path,
-                 const std::vector<bool>& dead) {
-  for (std::size_t h = 1; h + 1 < path.size(); ++h) {
-    if (dead[path[h]]) return true;
+/// Traffic between i and j, both directions.
+double PairVolume(const TrafficMatrix& traffic, std::size_t i, std::size_t j) {
+  return traffic.demand(i, j) + traffic.demand(j, i);
+}
+
+/// Volume of the pairs in `table` whose endpoints both survive but whose
+/// stored path crosses one of `links`, summed in ascending slot order.
+double TransitLoss(const core::PairRoutes& table,
+                   std::span<const std::uint32_t> links,
+                   const std::vector<bool>& dead,
+                   const TrafficMatrix& traffic) {
+  double lost = 0.0;
+  for (const std::uint32_t slot : table.SlotsCrossing(links)) {
+    const auto [i, j] = table.Endpoints(slot);
+    if (!dead[i] && !dead[j]) lost += PairVolume(traffic, i, j);
   }
-  return false;
+  return lost;
 }
 
 }  // namespace
@@ -53,7 +66,8 @@ OutageSimReport RunOutageSimulation(const core::RouteEngine& engine,
   }
 
   const core::PairRoutes shortest(engine, pool, core::RouteMetric::kDistance);
-  const core::PairRoutes risky(engine, pool, core::RouteMetric::kBitRisk);
+  const auto risky = std::make_shared<const core::PairRoutes>(
+      engine, pool, core::RouteMetric::kBitRisk);
   // The ensemble's draw with every stochastic refinement off: an archive
   // event's exact footprint is the whole failure set.
   EnsembleOptions draws;
@@ -74,22 +88,17 @@ OutageSimReport RunOutageSimulation(const core::RouteEngine& engine,
     if (scenario.failed_nodes.empty()) return;
     std::vector<bool> dead(n, false);
     for (const std::size_t v : scenario.failed_nodes) dead[v] = true;
-    std::size_t slot = 0;  // pair slots run in (i, j) order
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j, ++slot) {
-        const double volume = traffic.demand(i, j) + traffic.demand(j, i);
-        if (dead[i] || dead[j]) {
-          loss.endpoint += volume;
-          continue;
-        }
-        if (CrossesDead(shortest.PathNodes(slot), dead)) {
-          loss.shortest += volume;
-        }
-        if (CrossesDead(risky.PathNodes(slot), dead)) {
-          loss.riskroute += volume;
-        }
+    for (std::size_t i = 0; i < n; ++i) {  // pair slot order
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (dead[i] || dead[j]) loss.endpoint += PairVolume(traffic, i, j);
       }
     }
+    // With no link cuts the failed links are the dead PoPs' links, so a
+    // pair with both endpoints alive crosses one exactly when a transit
+    // node of its path is dead.
+    const std::vector<std::uint32_t> links = sampler.FailedLinks(scenario);
+    loss.shortest = TransitLoss(shortest, links, dead, traffic);
+    loss.riskroute = TransitLoss(*risky, links, dead, traffic);
   });
 
   OutageSimReport report;

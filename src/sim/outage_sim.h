@@ -30,7 +30,7 @@ struct OutageSimOptions {
   std::size_t trials = 2000;
   /// Philox key of the trial draws.
   std::uint64_t seed = 2024;
-  /// Multiplies every hazard type's default damage radius.
+  /// Multiplies every hazard type's default damage radius; finite, > 0.
   double damage_radius_scale = 1.0;
 };
 
@@ -58,7 +58,8 @@ struct OutageSimReport {
 /// stored path per routing. Trials run parallel over `pool` into
 /// per-trial slots summed in trial order, so the report is bitwise
 /// identical for any pool size. Throws InvalidArgument on an empty catalog
-/// list, zero trials or a traffic matrix of the wrong size.
+/// list, zero trials, a traffic matrix of the wrong size or a damage
+/// radius scale that is not finite and positive.
 [[nodiscard]] OutageSimReport RunOutageSimulation(
     const core::RouteEngine& engine,
     const std::vector<hazard::Catalog>& catalogs, const TrafficMatrix& traffic,

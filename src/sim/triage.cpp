@@ -51,13 +51,6 @@ struct TriageMetrics {
   }
 };
 
-/// Shortest-double round trip: every finite double survives %.17g.
-void AppendDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 /// Footprint-size bucket of the stratification: empty footprints never
 /// reach the sampler, so buckets split the non-empty range.
 std::size_t SizeBucket(std::size_t failed_pops) {
@@ -247,28 +240,13 @@ TriagedEnsemble::Features TriagedEnsemble::FeaturesFor(
   for (const std::size_t v : scenario.failed_nodes) {
     f.score_mass += route.NodeScore(v);
   }
-  // The frozen links this footprint takes out (severed spans plus edges
-  // incident to a failed node), deduplicated exactly as Evaluate does.
-  std::vector<std::uint32_t> failed_edges;
-  for (const std::size_t v : scenario.failed_nodes) {
-    for (std::uint32_t id = engine_->EdgeRowBegin(v);
-         id < engine_->EdgeRowEnd(v); ++id) {
-      failed_edges.push_back(id);
-    }
-    for (std::uint32_t id = 0; id < engine_->EdgeRowBegin(v); ++id) {
-      if (engine_->edge(id).b == v) failed_edges.push_back(id);
-    }
-  }
-  failed_edges.insert(failed_edges.end(), scenario.severed_edges.begin(),
-                      scenario.severed_edges.end());
-  std::sort(failed_edges.begin(), failed_edges.end());
-  failed_edges.erase(std::unique(failed_edges.begin(), failed_edges.end()),
-                     failed_edges.end());
-  const std::span<const std::uint32_t> usage =
-      engine_->baseline_edge_usage();
-  f.failed_links = static_cast<double>(failed_edges.size());
-  for (const std::uint32_t id : failed_edges) {
-    f.usage_rank_sum += static_cast<double>(usage[id]);
+  // The frozen links this footprint takes out, exactly as Evaluate
+  // derives them; a link's usage is the length of its pair list.
+  const std::vector<std::uint32_t> failed = engine_->FailedLinks(scenario);
+  f.failed_links = static_cast<double>(failed.size());
+  for (const std::uint32_t id : failed) {
+    f.usage_rank_sum +=
+        static_cast<double>(engine_->pair_routes().LinkSlots(id).size());
   }
   return f;
 }
@@ -518,44 +496,13 @@ std::string TriagedReport::ToJson() const {
   std::string out;
   out.reserve(2048 + 128 * estimate.criticality.size());
   char buf[96];
-  const auto field = [&](const char* key, double v, const char* tail) {
-    out += "  \"";
-    out += key;
-    out += "\": ";
-    AppendDouble(out, v);
-    out += tail;
-  };
   out += "{\n  \"schema\": \"riskroute.ensemble.triage.v1\",\n";
   std::snprintf(buf, sizeof(buf), "  \"seed\": %" PRIu64 ",\n",
                 estimate.seed);
   out += buf;
   std::snprintf(buf, sizeof(buf), "  \"universe\": %zu,\n", universe);
   out += buf;
-  std::snprintf(buf, sizeof(buf), "  \"baseline_pairs\": %zu,\n",
-                estimate.baseline_pairs);
-  out += buf;
-  field("baseline_bit_risk_miles", estimate.baseline_bit_risk_miles, ",\n");
-  out += "  \"delta\": {";
-  const struct {
-    const char* key;
-    double value;
-  } delta_fields[] = {
-      {"mean", estimate.delta_mean}, {"variance", estimate.delta_variance},
-      {"min", estimate.delta_min},   {"max", estimate.delta_max},
-      {"p5", estimate.delta_p5},     {"p50", estimate.delta_p50},
-      {"p95", estimate.delta_p95},
-  };
-  for (std::size_t i = 0; i < std::size(delta_fields); ++i) {
-    out += i == 0 ? "\"" : ", \"";
-    out += delta_fields[i].key;
-    out += "\": ";
-    AppendDouble(out, delta_fields[i].value);
-  }
-  out += "},\n";
-  field("mean_failed_pops", estimate.mean_failed_pops, ",\n");
-  field("mean_severed_links", estimate.mean_severed_links, ",\n");
-  field("mean_endpoint_pairs", estimate.mean_endpoint_pairs, ",\n");
-  field("mean_disconnected_pairs", estimate.mean_disconnected_pairs, ",\n");
+  AppendJsonSummary(out, estimate);
   out += "  \"triage\": {";
   const struct {
     const char* key;
@@ -572,9 +519,9 @@ std::string TriagedReport::ToJson() const {
     out += buf;
   }
   out += ", \"exact_fraction\": ";
-  AppendDouble(out, exact_fraction);
+  AppendJsonDouble(out, exact_fraction);
   out += ", \"weight_sum\": ";
-  AppendDouble(out, weight_sum);
+  AppendJsonDouble(out, weight_sum);
   out += "},\n  \"calibration\": {";
   std::snprintf(buf, sizeof(buf), "\"audits\": %zu", calibration.audits);
   out += buf;
@@ -593,21 +540,10 @@ std::string TriagedReport::ToJson() const {
     out += ", \"";
     out += key;
     out += "\": ";
-    AppendDouble(out, value);
+    AppendJsonDouble(out, value);
   }
-  out += "},\n  \"criticality\": [";
-  for (std::size_t i = 0; i < estimate.criticality.size(); ++i) {
-    const LinkCriticality& link = estimate.criticality[i];
-    if (i != 0) out += ",";
-    std::snprintf(buf, sizeof(buf),
-                  "\n    {\"a\": %zu, \"b\": %zu, \"failures\": %" PRIu64
-                  ", \"delta_sum\": ",
-                  link.a, link.b, link.failures);
-    out += buf;
-    AppendDouble(out, link.delta_sum);
-    out += "}";
-  }
-  out += estimate.criticality.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  out += "},\n";
+  AppendJsonCriticality(out, estimate);
   return out;
 }
 

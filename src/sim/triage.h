@@ -143,8 +143,8 @@ class TriagedEnsemble {
     double radius_miles = 0.0;
     double failed_pops = 0.0;
     double score_mass = 0.0;     ///< sum of Eq 1 node scores, failed PoPs
-    double failed_links = 0.0;   ///< frozen edges severed or endpoint-dead
-    double usage_rank_sum = 0.0; ///< sum of baseline_edge_usage over those
+    double failed_links = 0.0;   ///< frozen links severed or endpoint-dead
+    double usage_rank_sum = 0.0; ///< baseline pairs routed over each, summed
     double season = 0.0;         ///< 0..3 (winter..fall) of event_month
     bool empty = false;          ///< no failed nodes, no severed edges
   };

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -142,17 +143,18 @@ TEST(EnsembleEngineTest, ValidatesOptions) {
   bad_fringe.fringe_factor = 0.5;
   EXPECT_THROW(EnsembleEngine(fx.engine, fx.catalogs, bad_fringe),
                InvalidArgument);
-  const core::PairRoutes miles(fx.engine, nullptr,
-                               core::RouteMetric::kDistance);
+  const auto miles = std::make_shared<const core::PairRoutes>(
+      fx.engine, nullptr, core::RouteMetric::kDistance);
   EXPECT_THROW(EnsembleEngine(miles, fx.catalogs, TestOptions()),
                InvalidArgument);
 }
 
 // An ensemble built from a shared core::PairRoutes table is the ensemble
-// the engine constructor builds: same baseline, same masks, same bytes.
+// the engine constructor builds: same baseline, same link lists, same
+// bytes.
 TEST(EnsembleEngineTest, SharedPairTableMatchesEngineConstructor) {
   const EnsembleFixture fx;
-  const core::PairRoutes routes(fx.engine);
+  const auto routes = std::make_shared<const core::PairRoutes>(fx.engine);
   const std::pair<int, std::uint64_t> sets[] = {
       {0, 2026}, {9, 2026}, {3, 7}, {12, 99}};
   for (const auto& [month, seed] : sets) {
@@ -166,8 +168,10 @@ TEST(EnsembleEngineTest, SharedPairTableMatchesEngineConstructor) {
       const EnsembleEngine direct(fx.engine, fx.catalogs, options, &pool);
       const EnsembleEngine shared(routes, fx.catalogs, options);
       EXPECT_EQ(shared.Run(&pool).ToJson(), direct.Run(&pool).ToJson());
-      EXPECT_TRUE(std::ranges::equal(shared.baseline_edge_usage(),
-                                     direct.baseline_edge_usage()));
+      for (std::size_t id = 0; id < fx.engine.link_count(); ++id) {
+        EXPECT_TRUE(std::ranges::equal(shared.pair_routes().LinkSlots(id),
+                                       direct.pair_routes().LinkSlots(id)));
+      }
     }
   }
 }
@@ -206,7 +210,7 @@ TEST(EnsembleEngineTest, DrawsExerciseEveryFailureMode) {
     EXPECT_TRUE(std::is_sorted(scenario.severed_edges.begin(),
                                scenario.severed_edges.end()));
     for (const std::uint32_t id : scenario.severed_edges) {
-      ASSERT_LT(id, ensemble.edge_count());
+      ASSERT_LT(id, fx.engine.link_count());
     }
   }
   EXPECT_TRUE(saw_failed_node);

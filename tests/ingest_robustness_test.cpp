@@ -758,6 +758,13 @@ TEST(EnsembleOptionsWall, NonFiniteAndOutOfDomainKnobsAreRejected) {
   rejects([&](sim::EnsembleOptions& o) { o.link_cut_prob = kNan; });
   // criticality_top: at least one ranked link.
   rejects([&](sim::EnsembleOptions& o) { o.criticality_top = 0; });
+  // damage_radius_scale: a finite, positive multiplier (NaN would fail
+  // every footprint, a negative one report a negative radius).
+  rejects([&](sim::EnsembleOptions& o) { o.damage_radius_scale = kNan; });
+  rejects([&](sim::EnsembleOptions& o) { o.damage_radius_scale = kInf; });
+  rejects([&](sim::EnsembleOptions& o) { o.damage_radius_scale = -kInf; });
+  rejects([&](sim::EnsembleOptions& o) { o.damage_radius_scale = 0.0; });
+  rejects([&](sim::EnsembleOptions& o) { o.damage_radius_scale = -2.0; });
 }
 
 }  // namespace

@@ -670,6 +670,45 @@ void ExpectTableMatchesTargetedRuns(const RouteEngine& engine,
   }
 }
 
+/// Per slot, the link ids its stored path crosses, found by scanning the
+/// engine's link table for every hop (no EdgeLink, no index).
+std::vector<std::vector<std::uint32_t>> BruteForceHopLinks(
+    const RouteEngine& engine, const core::PairRoutes& routes) {
+  std::vector<std::vector<std::uint32_t>> hops(routes.pair_count());
+  for (std::size_t slot = 0; slot < routes.pair_count(); ++slot) {
+    const std::span<const std::uint32_t> path = routes.PathNodes(slot);
+    for (std::size_t h = 1; h < path.size(); ++h) {
+      const auto [a, b] = std::minmax(path[h - 1], path[h]);
+      std::uint32_t id = 0;
+      while (id < engine.link_count() &&
+             (engine.link(id).a != a || engine.link(id).b != b)) {
+        ++id;
+      }
+      EXPECT_LT(id, engine.link_count()) << "hop " << a << "-" << b;
+      hops[slot].push_back(id);
+    }
+  }
+  return hops;
+}
+
+/// Each link's list is exactly the ascending slots whose path crosses it.
+void ExpectLinkListsMatchPaths(const RouteEngine& engine,
+                               const core::PairRoutes& routes) {
+  std::vector<std::vector<std::uint32_t>> expected(engine.link_count());
+  const auto hops = BruteForceHopLinks(engine, routes);
+  for (std::size_t slot = 0; slot < hops.size(); ++slot) {
+    for (const std::uint32_t id : hops[slot]) {
+      if (id < expected.size()) {
+        expected[id].push_back(static_cast<std::uint32_t>(slot));
+      }
+    }
+  }
+  for (std::size_t id = 0; id < expected.size(); ++id) {
+    ASSERT_TRUE(std::ranges::equal(routes.LinkSlots(id), expected[id]))
+        << "link " << id;
+  }
+}
+
 TEST(PairRoutesTest, SlotRoundTripsAndRejectsBadPairs) {
   for (const std::size_t n : {0u, 1u, 2u, 17u}) {
     util::Rng rng(n + 1);
@@ -707,7 +746,42 @@ TEST(PairRoutesTest, StoredAnswersMatchTargetedRunsAtAnyThreadCount) {
       const core::PairRoutes routes(engine, &pool);
       EXPECT_EQ(&routes.engine(), &engine);
       ExpectTableMatchesTargetedRuns(engine, routes);
+      ExpectLinkListsMatchPaths(engine, routes);
     }
+  }
+}
+
+// The gather helper behind the ensemble's failed links and the stream's
+// footprints: for any link multiset, in any order, exactly the ascending
+// slots whose stored path crosses one of them.
+TEST(PairRoutesTest, SlotsCrossingMatchesBruteForceUnion) {
+  util::Rng rng(41);
+  RiskGraph graph = RandomGraph(30, 0.12, rng);
+  // A detached pair: its link's list is one slot, its cross pairs none.
+  graph.AddNode(RiskNode{"island-0", geo::GeoPoint(47.0, -70.0), 0.1, 0.2,
+                         0.0});
+  graph.AddNode(RiskNode{"island-1", geo::GeoPoint(47.5, -69.0), 0.1, 0.2,
+                         0.0});
+  graph.AddEdgeByDistance(30, 31);
+  const RouteEngine engine(graph, RiskParams{1e5, 1e3});
+  const core::PairRoutes routes(engine);
+  const auto hops = BruteForceHopLinks(engine, routes);
+  ASSERT_GT(engine.link_count(), 8u);
+  EXPECT_TRUE(routes.SlotsCrossing({}).empty());
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint32_t> links(
+        static_cast<std::size_t>(rng.UniformInt(1, 12)));
+    for (std::uint32_t& id : links) {
+      id = static_cast<std::uint32_t>(rng.UniformInt(
+          0, static_cast<std::int64_t>(engine.link_count()) - 1));
+    }
+    std::vector<std::uint32_t> expected;
+    for (std::size_t slot = 0; slot < hops.size(); ++slot) {
+      if (std::ranges::find_first_of(hops[slot], links) != hops[slot].end()) {
+        expected.push_back(static_cast<std::uint32_t>(slot));
+      }
+    }
+    ASSERT_EQ(routes.SlotsCrossing(links), expected) << "trial " << trial;
   }
 }
 

@@ -232,6 +232,19 @@ TEST(OutageSim, Validation) {
   const TrafficMatrix wrong = TrafficMatrix::Uniform(7);
   EXPECT_THROW((void)RunOutageSimulation(engine, SouthernEvents(), wrong),
                InvalidArgument);
+  // The damage radius scale goes through the ensemble sampler's check.
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), 0.0,
+                             -1.0}) {
+    OutageSimOptions bad_scale;
+    bad_scale.trials = 4;
+    bad_scale.damage_radius_scale = scale;
+    EXPECT_THROW((void)RunOutageSimulation(engine, SouthernEvents(), traffic,
+                                           bad_scale),
+                 InvalidArgument)
+        << "scale " << scale;
+  }
 }
 
 TEST(OutageSim, DamageRadiiDefinedForAllTypes) {

@@ -182,6 +182,62 @@ TEST(SnapshotTest, HostileBytesSurfaceAsDiagnostics) {
   }
 }
 
+// Every directed edge must pair with exactly one reverse edge into an
+// undirected link. A freeze never produces anything else, so the loader
+// rejects each way a patched CSR can break that, and nothing downstream
+// meets an edge without a link.
+TEST(SnapshotTest, EdgesThatDoNotPairIntoLinksAreRejected) {
+  // The path 0 - 1 - 2 - 3; its CSR heads are {1}, {0, 2}, {1, 3}, {2}.
+  RiskGraph graph;
+  for (int i = 0; i < 4; ++i) {
+    graph.AddNode(core::RiskNode{"pop-" + std::to_string(i),
+                                 geo::GeoPoint(30.0 + i, -100.0 + i), 0.25,
+                                 0.1, 0.0});
+  }
+  for (std::size_t i = 1; i < 4; ++i) graph.AddEdgeByDistance(i - 1, i);
+  const RouteEngine engine(graph, kParams);
+  ASSERT_EQ(engine.link_count(), 3u);
+  const std::string good = engine.SnapshotBytes();
+
+  // The col section follows the header and the five row offsets, on the
+  // next 64-byte boundary. The checksum skips its own eight bytes.
+  constexpr std::size_t kCol = (128 + 4 * 5 + 63) / 64 * 64;
+  const auto patched = [&](std::size_t edge, std::uint32_t head) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + kCol + 4 * edge, &head, sizeof(head));
+    const auto* data = reinterpret_cast<const std::uint8_t*>(bytes.data());
+    std::uint64_t checksum =
+        RouteEngine::SnapshotChecksum(std::span(data, 64));
+    checksum = RouteEngine::SnapshotChecksum(
+        std::span(data + 72, bytes.size() - 72), checksum);
+    std::memcpy(bytes.data() + 64, &checksum, sizeof(checksum));
+    return bytes;
+  };
+  const auto expect_rejected = [](const std::string& bytes, const char* why) {
+    const auto result = RouteEngine::LoadSnapshot(AsBytes(bytes));
+    ASSERT_FALSE(result.ok()) << why;
+    EXPECT_EQ(result.error().kind, util::ParseErrorKind::kBadValue) << why;
+    EXPECT_NE(result.error().message.find(why), std::string::npos)
+        << result.error().message;
+  };
+
+  // Control: rewriting edge 0's own head loads, with the freeze's links.
+  auto same = RouteEngine::LoadSnapshot(AsBytes(patched(0, 1)));
+  ASSERT_TRUE(same.ok()) << same.error().Render();
+  for (std::size_t id = 0; id < engine.link_count(); ++id) {
+    EXPECT_EQ(same.value().link(id).a, engine.link(id).a);
+    EXPECT_EQ(same.value().link(id).b, engine.link(id).b);
+    EXPECT_EQ(same.value().link(id).miles, engine.link(id).miles);
+  }
+  for (std::size_t e = 0; e < 6; ++e) {
+    EXPECT_EQ(same.value().EdgeLink(e), engine.EdgeLink(e)) << "edge " << e;
+  }
+
+  expect_rejected(patched(0, 0), "self-loop");  // 0 -> 0
+  expect_rejected(patched(0, 2), "one-way");    // 0 -> 2, but no 2 -> 0
+  expect_rejected(patched(4, 1), "repeated");   // row 2 becomes {1, 1}
+}
+
 TEST(SnapshotTest, ChecksumIsDeterministicAndPositionSensitive) {
   const std::string payload = "riskroute snapshot checksum probe";
   const auto bytes = AsBytes(payload);

@@ -11,6 +11,10 @@ contract, so its case runs at two thread counts and the two outputs must
 be byte-identical to each other before either is diffed against the
 golden.
 
+Every CLI run is independent, so all of them start up front, at most one
+per CPU this process may run on (``os.sched_getaffinity``) at a time; the
+comparisons then run in case order.
+
 Regenerate after an intentional change:
 
     python3 tools/golden_diff.py --binary build/tools/riskroute --update
@@ -21,6 +25,8 @@ Wired as the ``golden_replay`` CTest target.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import os
 import pathlib
 import re
 import subprocess
@@ -177,18 +183,34 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    failures = []
-    outputs: dict[str, str] = {}
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=len(os.sched_getaffinity(0))) as pool:
+        return compare(args, names, pool)
+
+
+def compare(args: argparse.Namespace, names: list[str],
+            pool: concurrent.futures.Executor) -> int:
+    # (case, --threads value or None) -> the pending CLI run.
+    runs = {}
     for name in names:
         base = ALIASES[name][0] if name in ALIASES else name
         case_args = (CASES[base] + ALIASES[name][1] if name in ALIASES
                      else CASES[name])
+        runs[name, None] = pool.submit(run_case, args.binary, case_args)
+        for threads in BITWISE_THREAD_CASES.get(name, []):
+            runs[name, threads] = pool.submit(run_case, args.binary,
+                                              case_args, threads)
+
+    failures = []
+    outputs: dict[str, str] = {}
+    for name in names:
+        base = ALIASES[name][0] if name in ALIASES else name
         golden_path = args.golden_dir / f"{base}.golden"
-        output = run_case(args.binary, case_args)
+        output = runs[name, None].result()
         outputs[name] = output
 
         for threads in BITWISE_THREAD_CASES.get(name, []):
-            rerun = run_case(args.binary, case_args, threads=threads)
+            rerun = runs[name, threads].result()
             if rerun != output:
                 failures.append(f"{name}: output at --threads {threads} is "
                                 f"not byte-identical to the default run")
